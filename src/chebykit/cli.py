@@ -355,18 +355,6 @@ def _run_padic(args, op) -> CommandResult:
     raise AssertionError(op)
 
 
-def _scan_worker(item):
-    b, c = item
-    from .unram import CubicForm, DegenerateCubicError, cubic_criterion
-
-    try:
-        form = CubicForm.make(b, c)
-        rep = cubic_criterion(form)
-        return (c, rep.verdict)
-    except DegenerateCubicError as e:
-        return (c, f"skipped: {e}")
-
-
 def _run_unram(args, op) -> CommandResult:
     if op == "cubic":
         try:
@@ -380,16 +368,16 @@ def _run_unram(args, op) -> CommandResult:
         cs = list(range(-span, span + 1))
         if args.seed:
             random.Random(args.seed).shuffle(cs)  # order only; merge is sorted
-        items = [(args.b, c) for c in cs]
+        bs = [args.b] * len(cs)
         if args.jobs > 1:
             import concurrent.futures
 
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = sorted(pool.map(_scan_worker, items))
+                rows = sorted(pool.map(unram.scan_row, bs, cs))
         else:
-            rows = sorted(map(_scan_worker, items))
+            rows = sorted(map(unram.scan_row, bs, cs))
         try:
-            summary = unram.congruence_scan(args.b, modulus=args.modulus, c_range=range(-span, span + 1))
+            summary = unram.fold_scan(args.b, rows, modulus=args.modulus)
         except unram.DegenerateCubicError as e:
             return CommandResult("domain-error", {"error": str(e)})
         if args.csv:

@@ -422,15 +422,16 @@ class ResidueElement:
 
 @lru_cache(maxsize=None)
 def _cheb_first_coeffs(n: int):
+    """C_n from its closed form: the x^(n-2k) coefficient is (-1)^k n/(n-k) C(n-k, k)."""
     if n == 0:
         return (2,)
-    if n == 1:
-        return (0, 1)
-    prev2, prev1 = _cheb_first_coeffs(n - 2), _cheb_first_coeffs(n - 1)
-    out = [0] + list(prev1)  # multiply by x
-    for i, c in enumerate(prev2):
-        out[i] -= c
-    return _trim(out)
+    out = [0] * (n + 1)
+    out[n] = a = 1
+    for k in range(n // 2):
+        # ratio of consecutive coefficients; the division is exact
+        a = -a * (n - 2 * k) * (n - 2 * k - 1) // ((k + 1) * (n - k - 1))
+        out[n - 2 * k - 2] = a
+    return tuple(out)
 
 
 def cheb_first_kind(n: int) -> IntPolynomial:
@@ -440,15 +441,16 @@ def cheb_first_kind(n: int) -> IntPolynomial:
 
 @lru_cache(maxsize=None)
 def _cheb_second_coeffs(n: int):
+    """S_n from its closed form: the x^(n-1-2k) coefficient is (-1)^k C(n-1-k, k)."""
     if n == 0:
         return ()
-    if n == 1:
-        return (1,)
-    prev2, prev1 = _cheb_second_coeffs(n - 2), _cheb_second_coeffs(n - 1)
-    out = [0] + list(prev1)
-    for i, c in enumerate(prev2):
-        out[i] -= c
-    return _trim(out)
+    m = n - 1
+    out = [0] * n
+    out[m] = b = 1
+    for k in range(m // 2):
+        b = -b * (m - 2 * k) * (m - 2 * k - 1) // ((k + 1) * (m - k))
+        out[m - 2 * k - 2] = b
+    return tuple(out)
 
 
 def cheb_second_kind(n: int) -> IntPolynomial:
@@ -588,34 +590,26 @@ def cheb_mul(a: ChebExpansion, b: ChebExpansion) -> ChebExpansion:
 # Fast evaluation
 
 
-def _amend(x, value):
-    """The integer `value` coerced into the ring of x."""
-    if isinstance(x, ResidueElement):
-        return ResidueElement(x.modulus, value)
-    if isinstance(x, Fraction):
-        return Fraction(value)
-    return type(x)(value)
-
-
 def cheb_pow_ladder(x, n: int):
     """Evaluate the order-n Chebyshev power of x with O(log n) ring operations.
 
     Walks the pair (C_m(x), C_{m+1}(x)) down the bits of n using
     C_{2m} = C_m^2 - 2,  C_{2m+1} = C_m*C_{m+1} - x.  Works in any
-    commutative ring: ints, Fractions, floats, complex, residue rings.
+    commutative ring whose elements combine with ints: ints, Fractions,
+    floats, complex, residue rings, p-adic numbers.  The constant 2 enters
+    through each ring's own int arithmetic.
     """
     n = abs(int(n))
     if n == 0:
-        return _amend(x, 2)
+        return x * 0 + 2
     if n == 1:
         return x
-    two = _amend(x, 2)
-    a, b = x, x * x - two  # (C_1, C_2)
+    a, b = x, x * x - 2  # (C_1, C_2)
     for bit in bin(n)[3:]:  # bits below the leading one
         if bit == "0":
-            a, b = a * a - two, a * b - x
+            a, b = a * a - 2, a * b - x
         else:
-            a, b = a * b - x, b * b - two
+            a, b = a * b - x, b * b - 2
     return a
 
 

@@ -1,15 +1,17 @@
 """Integer factorization and related helpers, sized for desk-scale inputs.
 
-Trial division up to a bound, then Pollard rho with a Brent cycle and an
-iteration budget; anything left unfactored is surfaced explicitly rather
-than guessed at.  Primality is deterministic Miller-Rabin (valid far beyond
+Trial division by the primes below a bound, then Pollard rho with a Brent
+cycle and an iteration budget; anything left unfactored is surfaced
+explicitly rather than guessed at.  Primality is deterministic Miller-Rabin (valid far beyond
 the 64-bit range).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -70,6 +72,19 @@ def _pollard_brent(n: int, budget: int) -> int | None:
     return None
 
 
+@lru_cache(maxsize=None)
+def _primes_below(bound: int) -> tuple:
+    """The primes below `bound`, by the sieve of Eratosthenes (built once per bound)."""
+    if bound < 3:
+        return ()
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, bound, p)))
+    return tuple(itertools.compress(range(bound), sieve))
+
+
 def factorize(n: int, trial_bound: int = 10000, rho_budget: int = 10**8):
     """Factor |n| into {prime: exponent}; returns (factors, leftover).
 
@@ -80,7 +95,7 @@ def factorize(n: int, trial_bound: int = 10000, rho_budget: int = 10**8):
     factors: dict[int, int] = {}
     if n <= 1:
         return factors, 1
-    for p in range(2, trial_bound):
+    for p in _primes_below(trial_bound):
         if p * p > n:
             break
         while n % p == 0:

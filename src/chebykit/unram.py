@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .exactcore import IntPolynomial
 from .factorcyc import rational_roots
@@ -57,8 +58,20 @@ class CubicForm:
         return [self.c, self.b, Fraction(0), Fraction(1)]
 
     def is_irreducible(self) -> bool:
-        scaled = _clear_denominators(self.poly())
-        return not rational_roots(IntPolynomial(tuple(scaled)))
+        return not self.rational_roots()
+
+    def rational_roots(self) -> list:
+        return rational_roots(IntPolynomial(tuple(_clear_denominators(self.poly()))))
+
+    @cached_property
+    def analysis(self):
+        """(reduced form, primes to examine, quadratic field, complete), once per form.
+
+        The criterion and the oracle both start from this.  Raises
+        DegenerateCubicError for a reducible cubic or a square discriminant.
+        """
+        _gate(self)
+        return _criterion_primes(self)
 
 
 def _clear_denominators(coeffs):
@@ -83,10 +96,14 @@ class QuadFieldInfo:
         radicand = Fraction(radicand)
         if radicand == 0:
             raise ValueError("zero radicand")
-        n = radicand.numerator * radicand.denominator
-        sign = -1 if n < 0 else 1
-        factors, leftover = factorize(abs(n))
-        kernel = sign
+        return QuadFieldInfo.from_factors(
+            radicand, *factorize(abs(radicand.numerator * radicand.denominator))
+        )
+
+    @staticmethod
+    def from_factors(radicand: Fraction, factors: dict, leftover: int) -> "QuadFieldInfo":
+        """The field of a nonzero radicand, given factorize(|numerator * denominator|)."""
+        kernel = -1 if radicand < 0 else 1
         for p, e in factors.items():
             if e % 2:
                 kernel *= p
@@ -173,20 +190,21 @@ def wp_reduce(b, c, p: int):
 
 
 def globally_reduced(b, c):
-    """Apply wp_reduce at every prime of the numerators/denominators at once."""
+    """Apply wp_reduce at every prime where it can move (b, c), all at once.
+
+    wp_reduce only moves the pair at primes of a denominator or of both
+    numerators (of b alone when c = 0), so only those parts are factored.
+    """
     b, c = Fraction(b), Fraction(c)
     support = set()
-    for q in (b, c):
-        if q == 0:
-            continue
-        for n in (q.numerator, q.denominator):
-            fs, left = factorize(abs(n))
-            support |= set(fs)
-            if left != 1:
-                fs2, left2 = factorize(left, trial_bound=10**6)
-                support |= set(fs2)
-                if left2 != 1:
-                    raise ValueError(f"could not factor coefficient part {left2}")
+    for n in {math.gcd(b.numerator, c.numerator), b.denominator, c.denominator} - {1}:
+        fs, left = factorize(n)
+        support |= set(fs)
+        if left != 1:
+            fs2, left2 = factorize(left, trial_bound=10**6)
+            support |= set(fs2)
+            if left2 != 1:
+                raise ValueError(f"could not factor coefficient part {left2}")
     for p in sorted(support):
         b, c = wp_reduce(b, c, p)
     return b, c
@@ -218,12 +236,10 @@ def _criterion_primes(form: CubicForm):
     """
     rb, rc = globally_reduced(form.b, form.c)
     reduced = CubicForm.make(rb, rc)
-    dn = reduced.delta.numerator * reduced.delta.denominator
-    factors, leftover = factorize(abs(dn))
-    primes = set(factors)
-    qf = QuadFieldInfo.make(reduced.delta)
-    primes |= set(qf.ramified)
-    return reduced, sorted(primes), qf, leftover == 1 and qf.complete
+    delta = reduced.delta
+    factors, leftover = factorize(abs(delta.numerator * delta.denominator))
+    qf = QuadFieldInfo.from_factors(delta, factors, leftover)
+    return reduced, sorted(set(factors) | set(qf.ramified)), qf, qf.complete
 
 
 def _gate(form: CubicForm):
@@ -255,8 +271,7 @@ def cubic_criterion(form: CubicForm) -> RamificationReport:
     decision is left to the oracle.  Degenerate inputs (b = 0, reducible,
     square discriminant) are rejected.
     """
-    _gate(form)
-    reduced, primes, qf, complete = _criterion_primes(form)
+    reduced, primes, qf, complete = form.analysis
     report = RamificationReport(
         polynomial=f"x^3 + ({form.b})x + ({form.c})",
         delta=form.delta,
@@ -345,8 +360,7 @@ def cubic_oracle(form: CubicForm, prec: int = 48) -> RamificationReport:
     Runs the exhaustive Z_p root search first; only a root-free prime falls
     through to the Newton-polygon classification.
     """
-    _gate(form)
-    reduced, primes, qf, complete = _criterion_primes(form)
+    reduced, primes, qf, complete = form.analysis
     coeffs = _clear_denominators(reduced.poly())
     assert coeffs[-1] == 1, "reduction should leave the cubic monic integral"
     report = RamificationReport(
@@ -431,16 +445,26 @@ def family_b2t(b: int, t: int, oracle: bool = True) -> RamificationReport:
     b, t = int(b), int(t)
     if b == 0:
         raise DegenerateCubicError("b must be nonzero")
-    form = CubicForm.make(b, b * b * t)
-    if not form.is_irreducible():
-        scaled = _clear_denominators(form.poly())
-        roots = rational_roots(IntPolynomial(tuple(scaled)))
-        raise DegenerateCubicError(f"reducible instance; rational root {roots[0]}")
+    try:
+        report = cubic_report(b, b * b * t, oracle=oracle)
+    except DegenerateCubicError:
+        roots = CubicForm.make(b, b * b * t).rational_roots()
+        if roots:
+            raise DegenerateCubicError(f"reducible instance; rational root {roots[0]}") from None
+        raise
     d = -27 * b * t * t - 4
-    report = cubic_report(form.b, form.c, oracle=oracle)
     report.extra["d"] = d
-    report.extra["field"] = QuadFieldInfo.make(Fraction(b * d)).label()
+    # delta = b^3 d differs from b d by a square: the report's field is Q(sqrt(b d))
+    report.extra["field"] = report.quad_field.label()
     return report
+
+
+def scan_row(b: int, c: int):
+    """(c, criterion verdict) for x^3 + bx + c; 'skipped: <reason>' for a degenerate cubic."""
+    try:
+        return c, cubic_criterion(CubicForm.make(b, c)).verdict
+    except DegenerateCubicError as e:
+        return c, f"skipped: {e}"
 
 
 def congruence_scan(b: int, modulus: int | None = None, c_range=range(-60, 61)):
@@ -451,6 +475,11 @@ def congruence_scan(b: int, modulus: int | None = None, c_range=range(-60, 61)):
     (mixed classes raise) and reports the smallest divisor of the modulus
     consistent with the observed classes.
     """
+    return fold_scan(b, [scan_row(b, c) for c in c_range], modulus)
+
+
+def fold_scan(b: int, rows, modulus: int | None = None):
+    """The congruence_scan summary of (c, verdict) rows made by scan_row."""
     b = int(b)
     if b == 0:
         raise DegenerateCubicError("b must be nonzero")
@@ -461,19 +490,11 @@ def congruence_scan(b: int, modulus: int | None = None, c_range=range(-60, 61)):
         raise ValueError("modulus must divide 81*b^4")
     classes: dict = {}
     skipped = []
-    for c in c_range:
-        try:
-            form = CubicForm.make(b, c)
-            _gate(form)
-        except DegenerateCubicError:
+    for c, verdict in rows:
+        if verdict == "undecided" or verdict.startswith("skipped"):
             skipped.append(c)
             continue
-        rep = cubic_criterion(form)
-        if rep.verdict == "undecided":
-            skipped.append(c)
-            continue
-        ok = rep.verdict == "unramified"
-        classes.setdefault(c % modulus, []).append((c, ok))
+        classes.setdefault(c % modulus, []).append((c, verdict == "unramified"))
     for residue, members in classes.items():
         outcomes = {ok for _, ok in members}
         if len(outcomes) != 1:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
+from chebykit import unram
 from chebykit.cli import run
 
 
@@ -117,3 +121,33 @@ def test_parallel_scan_merges_deterministically():
     serial = run(args).render()
     parallel = run(["--jobs", "2"] + args).render()
     assert serial == parallel
+
+
+def test_scan_computes_each_verdict_once(monkeypatch):
+    calls = []
+    real = unram.cubic_criterion
+
+    def counted(form):
+        calls.append(form)
+        return real(form)
+
+    monkeypatch.setattr(unram, "cubic_criterion", counted)
+    r = run(["unram", "scan", "-b", "5", "--modulus", "25", "--range", "20"])
+    assert len(calls) == 41
+    monkeypatch.setattr(unram, "cubic_criterion", real)
+    assert r.payload == unram.congruence_scan(5, modulus=25, c_range=range(-20, 21))
+
+
+def test_cheb_poly_1500_in_a_fresh_process():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from chebykit.cli import main; main()", "cheb", "poly", "-n", "1500"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    coeffs = json.loads(proc.stdout)
+    assert len(coeffs) == 1501 and coeffs[-1] == 1

@@ -21,6 +21,8 @@ from chebykit.exactcore import (
     pow_to_cheb,
     u_odd_poly,
 )
+from chebykit import exactcore
+from chebykit.padic import from_rational
 
 
 # -- generation oracles: unroll the recurrences by hand ----------------------
@@ -177,6 +179,28 @@ def test_ladder_examples():
     assert cheb_pow_ladder(2, 17) == 2
     assert cheb_pow_ladder(0, 4) == 2
     assert cheb_pow_ladder(Fraction(3), 10) == 15127
+
+
+@pytest.mark.parametrize("x", [12, 14, 50])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 1001, 123457])
+def test_ladder_agrees_across_rings(x, n):
+    p, k = 7, 30
+    want = cheb_pow_ladder(x, n)
+    assert cheb_pow_ladder(Fraction(x), n) == want
+    assert cheb_pow_ladder(ResidueElement(p**k, x), n).value == want % p**k
+    got = cheb_pow_ladder(from_rational(x, p, k), n)
+    assert got.abs_prec >= (9 if n == 0 else k)
+    assert (got.lift() - want) % p**got.abs_prec == 0
+
+
+def test_cold_generation_at_order_1500():
+    exactcore._cheb_first_coeffs.cache_clear()
+    exactcore._cheb_second_coeffs.cache_clear()
+    c, s = cheb_first_kind(1500), cheb_second_kind(1500)
+    assert c.degree == 1500 and c[1500] == 1 and s.degree == 1499
+    assert c(3) == cheb_pow_ladder(3, 1500)
+    # (x^2 - 4) S_n = C_{n+1} - C_{n-1}
+    assert 5 * s(3) == cheb_pow_ladder(3, 1501) - cheb_pow_ladder(3, 1499)
 
 
 def test_ladder_matches_direct_evaluation():

@@ -1,4 +1,7 @@
 import math
+import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -247,3 +250,61 @@ def test_power_of_two_eisenstein():
 def test_factor_list_json():
     fl = u_psi_factorization(15)
     assert FactorList.from_json(fl.to_json()).expand() == fl.expand()
+
+
+def _rational_roots_by_divisors(poly):
+    """The rational-root test over every divisor pair, sorted like rational_roots."""
+    coeffs = list(poly.coeffs)
+    roots = set()
+    if coeffs[0] == 0:
+        roots.add(Fraction(0))
+        while coeffs[0] == 0:
+            coeffs.pop(0)
+    reduced = IntPolynomial(tuple(coeffs))
+
+    def divisors(n):
+        small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        return set(small) | {n // d for d in small}
+
+    for num in divisors(abs(coeffs[0])):
+        for den in divisors(abs(coeffs[-1])):
+            for cand in (Fraction(num, den), Fraction(-num, den)):
+                if reduced(cand) == 0:
+                    roots.add(cand)
+    return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+
+
+def test_rational_roots_matches_divisor_reference():
+    # products of linear factors, some repeated, with zero and non-integer
+    # roots, times a random cofactor that usually has no rational root
+    rng = random.Random(12)
+    checked = 0
+    while checked < 400:
+        poly = IntPolynomial((rng.choice((1, -1, 2, 3, -6)),))
+        for _ in range(rng.randint(0, 3)):
+            linear = IntPolynomial((rng.randint(-6, 6), rng.randint(1, 4)))
+            poly = poly * linear ** rng.randint(1, 2)
+        poly = poly * IntPolynomial(tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 4))))
+        if poly.degree < 1:
+            continue
+        checked += 1
+        assert rational_roots(poly) == _rational_roots_by_divisors(poly), poly.coeffs
+
+
+def test_rational_roots_repeated_and_scaled():
+    assert rational_roots(IntPolynomial((2, -3, 0, 1))) == [1, -2]  # (x - 1)^2 (x + 2)
+    assert rational_roots(IntPolynomial((0, 0, 9, -12, 4))) == [0, Fraction(3, 2)]  # x^2 (2x - 3)^2
+    assert rational_roots(IntPolynomial((1, 0, 1))) == []
+    with pytest.raises(ValueError):
+        rational_roots(IntPolynomial(()))
+
+
+def test_rational_roots_cost_does_not_grow_with_the_coefficients():
+    # (x - r)(x^2 + r x + s) = x^3 + (s - r^2) x - r s with |c| = r s ~ 10^30
+    r, s = 10**10 + 19, 10**20 + 7
+    cubic = IntPolynomial((-r * s, s - r * r, 0, 1))
+    irreducible = IntPolynomial((10**30 + 39, 1, 0, 1))
+    start = time.perf_counter()
+    assert rational_roots(cubic) == [r]
+    assert rational_roots(irreducible) == []
+    assert time.perf_counter() - start < 0.1

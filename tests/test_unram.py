@@ -144,6 +144,27 @@ def test_family_b2t():
     assert r.verdict == "unramified" and r.extra["field"] == "Q(sqrt(-23))"
     with pytest.raises(DegenerateCubicError):
         family_b2t(2, 0)  # x^3 + 2x reducible
+    with pytest.raises(DegenerateCubicError, match=r"reducible instance; rational root -2$"):
+        family_b2t(2, 3)  # x^3 + 2x + 12 = (x + 2)(x^2 - 2x + 6)
+
+
+def test_report_analyses_the_cubic_once(monkeypatch):
+    from chebykit import unram
+
+    calls = {"factorize": 0, "rational_roots": 0}
+    for name in calls:
+        real = getattr(unram, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(unram, name, counted)
+    # x^3 + 4x + 8 reduces at 2 to x^3 + x + 1: one factorization of
+    # gcd(4, 8) for the reduction, one of the reduced discriminant
+    r = cubic_report(4, 8)
+    assert r.verdict == "unramified" and r.quad_field.label() == "Q(sqrt(-31))"
+    assert calls == {"factorize": 2, "rational_roots": 1}
 
 
 def test_congruence_scan_b5():
