@@ -597,11 +597,22 @@ def cheb_pow_ladder(x, n: int):
     C_{2m} = C_m^2 - 2,  C_{2m+1} = C_m*C_{m+1} - x.  Works in any
     commutative ring whose elements combine with ints: ints, Fractions,
     floats, complex, residue rings, p-adic numbers.  The constant 2 enters
-    through each ring's own int arithmetic.
+    through each ring's own int arithmetic; C_0 = x - x + 2 keeps the
+    precision of an inexact x.
+
+    A Fraction x = p/q takes the same ladder on integers, the homogeneous
+    form of the Lucas-sequence ladder (Joye and Quisquater, Electronics
+    Letters 32 (1996)), because every Fraction product and difference pays a
+    gcd.  With A_m = q^m C_m(p/q), an integer,
+        A_{2m} = A_m^2 - 2 q^{2m},   A_{2m+1} = A_m A_{m+1} - p q^{2m},
+    and the value is A_n / q^n, already in lowest terms (see
+    _coprime_fraction), so no gcd is taken at any step.
     """
     n = abs(int(n))
+    if isinstance(x, Fraction):
+        return _fraction_ladder(x.numerator, x.denominator, n)
     if n == 0:
-        return x * 0 + 2
+        return x - x + 2
     if n == 1:
         return x
     a, b = x, x * x - 2  # (C_1, C_2)
@@ -611,6 +622,41 @@ def cheb_pow_ladder(x, n: int):
         else:
             a, b = a * b - x, b * b - 2
     return a
+
+
+def _fraction_ladder(p: int, q: int, n: int) -> Fraction:
+    """C_n(p/q) for n >= 0 and q >= 1, gcd(p, q) = 1, by the integer ladder on (A_m, A_{m+1}, q^m)."""
+    if n == 0:
+        return Fraction(2)
+    qq = q * q
+    a, b, d = p, p * p - 2 * qq, q  # (A_1, A_2, q^1)
+    for bit in bin(n)[3:]:
+        dd = d * d  # q^(2m)
+        if bit == "0":
+            a, b, d = a * a - 2 * dd, a * b - p * dd, dd
+        else:
+            a, b, d = a * b - p * dd, b * b - 2 * qq * dd, q * dd
+    return _coprime_fraction(a, d, q)
+
+
+# Python 3.12 replaced Fraction's _normalize flag with this constructor.
+_FROM_COPRIME = getattr(Fraction, "_from_coprime_ints", None)
+
+
+def _coprime_fraction(a: int, d: int, q: int) -> Fraction:
+    """The Fraction a/d, where d = q^n and a = A_n = q^n C_n(p/q) for some n >= 1.
+
+    a/d is in lowest terms, so it is built without a gcd: C_n has only the
+    terms x^(n-2k), so A_n = p^n + sum_{k>=1} c_k p^(n-2k) q^(2k) is
+    p^n mod q^2, and gcd(A_n, q) = gcd(p^n, q) = 1; hence gcd(A_n, q^n) = 1.
+    The invariant is still checked on every call (a gcd with q, cheap next to
+    the ladder): an unreduced Fraction would compare and hash wrongly.
+    """
+    if math.gcd(a, q) != 1:
+        raise AssertionError(f"Chebyshev ladder numerator shares a factor with {q}")
+    if _FROM_COPRIME is not None:
+        return _FROM_COPRIME(a, d)
+    return Fraction(a, d, _normalize=False)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 Covers the difference factorizations C_n(x) - C_n(y), the "roots of two"
 (solutions of C_n(x) = 2), the half-degree fold of cyclotomic polynomials,
 and the structural splits of C_n, S_n and the odd-order U polynomials.
-All identities are verified by exact expansion; irreducibility evidence is
+The difference quotients (f(x) - f(y)) / (x - y) for f = C_n or S_n are
+read off the coefficients of f: the x^i y^j coefficient is the x^(i+j+1)
+coefficient of f, as in (x^n - y^n) / (x - y) = sum x^i y^j.  All
+identities are verified by exact expansion; irreducibility evidence is
 certificate-based (Eisenstein, rational roots, bounded quadratic factors)
 rather than a general factoring engine.  Rational roots are found by
 p-adic lifting: roots mod a prime, Newton-lifted past the Cauchy bound and
@@ -66,41 +69,44 @@ class FactorList:
 def r_bipoly(n: int) -> BiPolynomial:
     """The symmetric kernel R_n(x,y) = sum_{i=1}^{n-1} S_i(x) S_{n-i}(y).
 
-    Satisfies (x - y) R_n(x, y) = S_n(x) - S_n(y) exactly.
+    It is the difference quotient (S_n(x) - S_n(y)) / (x - y), so its
+    x^i y^j coefficient is the x^(i+j+1) coefficient of S_n.
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    total = BiPolynomial(())
-    for i in range(1, n):
-        total = total + BiPolynomial.from_x(cheb_second_kind(i)) * BiPolynomial.from_y(
-            cheb_second_kind(n - i)
-        )
-    return total
+    return _difference_quotient(n, cheb_second_kind)
 
 
 def diff_factor(n: int) -> BiPolynomial:
-    """Cofactor of (x - y) in C_n(x) - C_n(y), namely R_{n+1} - R_{n-1}."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    high = r_bipoly(n + 1)
-    low = r_bipoly(n - 1) if n >= 2 else BiPolynomial(())
-    return high - low
+    """Cofactor of (x - y) in C_n(x) - C_n(y), namely R_{n+1} - R_{n-1}.
+
+    Its x^i y^j coefficient is the x^(i+j+1) coefficient of C_n.
+    """
+    return _difference_quotient(n, cheb_first_kind)
 
 
-def cofactor_at(n: int, a: int) -> IntPolynomial:
-    """Cofactor of (x - a) in C_n(x) - C_n(a).
+def _difference_quotient(n: int, family) -> BiPolynomial:
+    """(f(x) - f(y)) / (x - y) for f = family(n), read off the coefficients of f.
 
-    Built as the Chebyshev substitution of sum_{i=1}^{n} S_i(a) x^{n-i};
-    for a in {-2,-1,0,1,2,3} the inner coefficients follow the classical
-    patterns (alternating signs, period-six pattern, even-index Fibonacci
-    numbers for a = 3).
+    Since (x^k - y^k) / (x - y) = sum_{i+j=k-1} x^i y^j, row i holds the
+    coefficients of f from degree i + 1 up: no polynomial products at all.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    inner = [0] * n
-    for i in range(1, n + 1):
-        inner[n - i] = cheb_second_kind(i)(a)
-    return cheby_transform(IntPolynomial(tuple(inner)))
+    c = family(n).coeffs
+    return BiPolynomial(tuple(c[i + 1 :] for i in range(len(c) - 1)))
+
+
+def cofactor_at(n: int, a: int) -> IntPolynomial:
+    """Cofactor of (x - a) in C_n(x) - C_n(a), by one synthetic division.
+
+    It is diff_factor(n) at y = a, and equals the Chebyshev substitution of
+    sum_{i=1}^{n} S_i(a) x^{n-i}; for a in {-2,-1,0,1,2,3} those S_i(a)
+    follow the classical patterns (alternating signs, period-six pattern,
+    even-index Fibonacci numbers for a = 3).
+    """
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    cn = cheb_first_kind(n)
+    return (cn - cn(a)) // IntPolynomial((-a, 1))
 
 
 @lru_cache(maxsize=None)

@@ -138,8 +138,15 @@ class PAdicNumber:
                 raise ValueError("mixed primes")
             return other
         if isinstance(other, (int, Fraction)):
-            # exact scalars get headroom so they never limit precision
-            return from_rational(other, self.p, max(self.prec, 1) + 8)
+            # An exact scalar gets 8 digits beyond both the relative precision
+            # of self (which bounds products) and its absolute precision
+            # (which bounds sums), so it never limits either.
+            digits, reach = max(self.prec, 1), self.abs_prec
+            if reach != INF:
+                # an int's valuation is >= 0, so reach digits suffice for it
+                v = valuation(other, self.p) if isinstance(other, Fraction) else 0
+                digits = max(digits, reach - v)
+            return from_rational(other, self.p, digits + 8)
         raise TypeError(f"cannot coerce {type(other).__name__}")
 
     def __add__(self, other):
@@ -247,19 +254,15 @@ def from_rational(a, p: int, prec: int = DEFAULT_PREC) -> PAdicNumber:
     a = Fraction(a)
     if a == 0:
         return PAdicNumber.zero(p)
-    v = valuation(a, p)
-    num, den = a.numerator, a.denominator
-    sign = 1
-    if num < 0:
-        num = -num
-        sign = -1
+    num, den, v = a.numerator, a.denominator, 0
     while num % p == 0:
         num //= p
+        v += 1
     while den % p == 0:
         den //= p
+        v -= 1
     mod = p**prec
-    unit = sign * num * pow(den, -1, mod) % mod
-    return PAdicNumber(p, v, unit, prec)
+    return PAdicNumber(p, v, num * pow(den, -1, mod) % mod, prec)
 
 
 # ---------------------------------------------------------------------------

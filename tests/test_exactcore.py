@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chebykit.exactcore import (
     BiPolynomial,
@@ -189,8 +190,53 @@ def test_ladder_agrees_across_rings(x, n):
     assert cheb_pow_ladder(Fraction(x), n) == want
     assert cheb_pow_ladder(ResidueElement(p**k, x), n).value == want % p**k
     got = cheb_pow_ladder(from_rational(x, p, k), n)
-    assert got.abs_prec >= (9 if n == 0 else k)
+    assert got.abs_prec >= k
     assert (got.lift() - want) % p**got.abs_prec == 0
+
+
+def _coprime_fractions():
+    return st.tuples(
+        st.integers(min_value=-(10**12), max_value=10**12),
+        st.integers(min_value=2, max_value=10**12),
+    ).filter(lambda pq: math.gcd(*pq) == 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pq=_coprime_fractions(), n=st.integers(min_value=-300, max_value=300))
+@example(pq=(-5, 2), n=0)
+@example(pq=(-5, 2), n=1)
+@example(pq=(3, 10**10), n=2)
+@example(pq=(-(10**12) + 1, 10**12), n=-300)
+def test_fraction_ladder_is_exact_and_reduced(pq, n):
+    p, q = pq
+    x = Fraction(p, q)
+    got = cheb_pow_ladder(x, n)
+    assert type(got) is Fraction
+    assert got == cheb_first_kind(n)(x)
+    assert got.denominator == q ** abs(n)
+    assert math.gcd(got.numerator, got.denominator) == 1
+    prime = 2**61 - 1  # larger than any q drawn, so prime to it
+    residue = cheb_pow_ladder(ResidueElement(prime, p * pow(q, -1, prime)), n)
+    assert got.numerator * pow(got.denominator, -1, prime) % prime == residue.value
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(min_value=-(10**6), max_value=10**6), n=st.integers(min_value=-300, max_value=300))
+def test_integer_valued_fraction_ladder_matches_int_ladder(p, n):
+    got = cheb_pow_ladder(Fraction(p), n)
+    assert type(got) is Fraction and got.denominator == 1
+    assert got == cheb_pow_ladder(p, n)
+
+
+def test_fraction_ladder_at_a_large_order():
+    big = cheb_pow_ladder(2 + Fraction(1, 10**10), 3001)
+    assert big.denominator == 10 ** (10 * 3001)
+    assert math.gcd(big.numerator, 10) == 1
+
+
+def test_fraction_ladder_refuses_an_unreduced_result():
+    with pytest.raises(AssertionError):
+        exactcore._coprime_fraction(6, 4, 2)
 
 
 def test_cold_generation_at_order_1500():

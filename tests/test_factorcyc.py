@@ -63,6 +63,30 @@ def test_diff_factor_identity():
         assert lhs == rhs, n
 
 
+def _summed_r_bipoly(n):
+    """R_n as the sum of S_i(x) S_{n-i}(y) products: the reference for the read-off."""
+    total = BiPolynomial(())
+    for i in range(1, n):
+        total = total + BiPolynomial.from_x(cheb_second_kind(i)) * BiPolynomial.from_y(
+            cheb_second_kind(n - i)
+        )
+    return total
+
+
+def test_difference_quotients_match_the_summation():
+    for n in range(1, 41):
+        assert r_bipoly(n) == _summed_r_bipoly(n), n
+        low = _summed_r_bipoly(n - 1) if n >= 2 else BiPolynomial(())
+        assert diff_factor(n) == _summed_r_bipoly(n + 1) - low, n
+
+
+@pytest.mark.parametrize("fn", [r_bipoly, diff_factor, lambda n: cofactor_at(n, 1)])
+@pytest.mark.parametrize("n", [0, -1, -5])
+def test_difference_quotients_reject_order_below_one(fn, n):
+    with pytest.raises(ValueError):
+        fn(n)
+
+
 def test_cofactor_identity_and_tables():
     for n in range(1, 16):
         for a in (-2, -1, 0, 1, 2, 3, 5, -7):

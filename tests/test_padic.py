@@ -78,6 +78,15 @@ def test_precision_tracking_pessimistic():
     assert (d * d).val == 4
 
 
+def test_exact_scalars_never_limit_precision():
+    p = 7
+    assert (PAdicNumber.inexact_zero(p, 40) + 2).abs_prec == 40
+    assert (PAdicNumber.inexact_zero(p, 40) - Fraction(1, p**3)).abs_prec == 40
+    deep = from_rational(3 * p**30, p, 10)  # known mod p^40
+    assert (deep + 2).abs_prec == 40 and (2 - deep).abs_prec == 40
+    assert (deep * 2).prec == 10
+
+
 def test_convergence_gates():
     k = from_rational(Fraction(1, 5), 5, 20)
     assert converges_cheb_pow(from_rational(2 + 5**3 * 3, 5, 20), k)
