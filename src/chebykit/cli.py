@@ -372,8 +372,10 @@ def _run_unram(args, op) -> CommandResult:
         if args.jobs > 1:
             import concurrent.futures
 
+            # one chunk per worker: pickling each row as its own task costs more than the row
+            chunksize = -(-len(cs) // args.jobs)
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = sorted(pool.map(unram.scan_row, bs, cs))
+                rows = sorted(pool.map(unram.scan_row, bs, cs, chunksize=chunksize))
         else:
             rows = sorted(map(unram.scan_row, bs, cs))
         try:

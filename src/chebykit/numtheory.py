@@ -123,6 +123,11 @@ def factorize(n: int, trial_bound: int = 10000, rho_budget: int = 10**8):
     return factors, leftover
 
 
+def is_square(n: int) -> bool:
+    """Whether the integer n is the square of an integer."""
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
 def squarefree_kernel(q) -> tuple[int, int]:
     """Squarefree part of a nonzero rational, as (kernel, leftover).
 

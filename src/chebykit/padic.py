@@ -142,11 +142,21 @@ class PAdicNumber:
             # of self (which bounds products) and its absolute precision
             # (which bounds sums), so it never limits either.
             digits, reach = max(self.prec, 1), self.abs_prec
+            if isinstance(other, Fraction):
+                if reach != INF:
+                    digits = max(digits, reach - valuation(other, self.p))
+                return from_rational(other, self.p, digits + 8)
+            # an int's valuation is >= 0, so reach digits suffice for it, and
+            # its unit needs no inverse: __init__ reduces it mod p^digits
             if reach != INF:
-                # an int's valuation is >= 0, so reach digits suffice for it
-                v = valuation(other, self.p) if isinstance(other, Fraction) else 0
-                digits = max(digits, reach - v)
-            return from_rational(other, self.p, digits + 8)
+                digits = max(digits, reach)
+            if other == 0:
+                return PAdicNumber.zero(self.p)
+            p, v = self.p, 0
+            while other % p == 0:
+                other //= p
+                v += 1
+            return PAdicNumber(p, v, other, digits + 8)
         raise TypeError(f"cannot coerce {type(other).__name__}")
 
     def __add__(self, other):
@@ -182,6 +192,8 @@ class PAdicNumber:
         return PAdicNumber(self.p, self.val, self.p**self.prec - self.unit, self.prec)
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self + (-other)  # negate the exact scalar, not its expansion
         return self + (-self._coerce(other))
 
     def __rsub__(self, other):

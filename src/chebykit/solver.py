@@ -5,8 +5,15 @@ recovers all roots from two of them; the depressed cubic solved by
 third-order Chebyshev radicals; explicit tower witnesses converting between
 ordinary and Chebyshev radical extensions (complex-numeric side); the
 characteristic-two constructions over GF(2^m), where Chebyshev radicals
-solve strictly more (Artin-Schreier quadratics); and the degree-12
-difference resolvent used to put D4 quartics into biquadratic form.
+solve strictly more (Artin-Schreier quadratics); and the D4 test for
+quartics with its degree-12 difference resolvent and biquadratic factor.
+
+The quartic side is exact integer algebra on the resolvent cubic: the
+degree-12 resolvent is a norm from the cubic's root field, the group comes
+from the elementary test of L.-C. Kappe and B. Warren ("An elementary test
+for the Galois group of a quartic polynomial", Amer. Math. Monthly 96
+(1989) 133-137), and the biquadratic factor is read off the cubic's
+rational root.
 """
 
 from __future__ import annotations
@@ -18,7 +25,9 @@ from fractions import Fraction
 
 from .analytic import cheb_exp, cheb_log, principal_radical
 from .exactcore import IntPolynomial, cheb_second_kind
+from .factorcyc import rational_roots
 from .gf2m import GF2m, GF2mElement, embed, retract
+from .numtheory import is_square
 
 
 # ---------------------------------------------------------------------------
@@ -358,91 +367,7 @@ def char2_artin_schreier(t: GF2mElement) -> Char2Result:
 
 
 # ---------------------------------------------------------------------------
-# Degree-12 difference resolvent for quartics
-
-
-def _frac_poly_divmod(num, den):
-    """Division of Fraction-coefficient polynomials (lists, ascending)."""
-    num = list(num)
-    dn = len(den) - 1
-    while den and den[-1] == 0:
-        den = den[:-1]
-        dn -= 1
-    q = [Fraction(0)] * max(0, len(num) - dn)
-    inv = Fraction(1) / den[-1]
-    for i in range(len(num) - dn - 1, -1, -1):
-        coef = num[i + dn] * inv
-        q[i] = coef
-        for j, d in enumerate(den):
-            num[i + j] -= coef * d
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _sylvester_resultant(a, b):
-    """Resultant of two Fraction polynomials via exact Gaussian elimination."""
-    m, n = len(a) - 1, len(b) - 1
-    size = m + n
-    mat = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(n):
-        for j, c in enumerate(reversed(a)):
-            mat[i][i + j] = c
-    for i in range(m):
-        for j, c in enumerate(reversed(b)):
-            mat[n + i][i + j] = c
-    det = Fraction(1)
-    for col in range(size):
-        pivot = None
-        for row in range(col, size):
-            if mat[row][col] != 0:
-                pivot = row
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = Fraction(1) / mat[col][col]
-        for row in range(col + 1, size):
-            if mat[row][col] != 0:
-                factor = mat[row][col] * inv
-                for j in range(col, size):
-                    mat[row][j] -= factor * mat[col][j]
-    return det
-
-
-def _poly_roots_dk(coeffs, iterations=600):
-    """Durand-Kerner roots of a complex-coefficient polynomial (ascending)."""
-    n = len(coeffs) - 1
-    lead = coeffs[-1]
-    monic = [complex(c) / lead for c in coeffs]
-    radius = 1.0 + max(abs(c) for c in monic[:-1])
-    roots = [radius * cmath.exp(2j * cmath.pi * (k + 0.25) / n) for k in range(n)]
-    for _ in range(iterations):
-        shift = 0.0
-        new = []
-        for i, r in enumerate(roots):
-            num = _ceval(monic, r)
-            den = complex(1.0)
-            for j, s in enumerate(roots):
-                if j != i:
-                    den *= r - s
-            delta = num / den if den != 0 else 0.0
-            new.append(r - delta)
-            shift = max(shift, abs(delta))
-        roots = new
-        if shift < 1e-14:
-            break
-    return roots
-
-
-def _ceval(coeffs, x):
-    acc = complex(0.0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+# Quartics: the degree-12 difference resolvent and the Kappe-Warren test
 
 
 @dataclass
@@ -468,261 +393,148 @@ class D4ResolventReport:
         }
 
 
-def _difference_resolvent(fcoeffs):
-    """Q(w) of degree 6 with Res_y(f(y), f(y+z))/z^4 = Q(z^2), exactly.
+_GROUP_DETAIL = {
+    "S4": "no D4 split: resolvent cubic irreducible, non-square discriminant (S4)",
+    "A4": "no D4 split: resolvent cubic irreducible, square discriminant (A4)",
+    "V4": "no D4 split: resolvent cubic has three rational roots (V4)",
+    "C4": "no D4 split: splits over Q(sqrt(disc)) (C4)",
+    "D4": "one rational resolvent root, no split over Q(sqrt(disc)) (D4)",
+}
 
-    Evaluated at seven integer points and interpolated over Q; f is the
-    monic quartic with ascending Fraction coefficients.
+
+def _difference_resolvent(a1, a2, a3, a4, c, d) -> tuple:
+    """Q(w) = prod over i < j of (w - (r_i - r_j)^2) for an integral monic quartic.
+
+    c = a1 a3 - 4 a4 and d = a1^2 a4 - 4 a2 a4 + a3^2 are the lower
+    coefficients of the resolvent cubic R(theta) = theta^3 - a2 theta^2 +
+    c theta - d.  The pairing that belongs to the root theta of R contributes
+    g(w, theta) = -3 theta^2 + 2(w + a2) theta + w^2 - (a1^2 - 2 a2) w +
+    a2^2 - 4c, so Q is the norm of g from Q[theta]/R: the determinant of
+    multiplication by g in the basis 1, theta, theta^2, over Z[w].
+    Coefficients ascending, degree 6, monic.
     """
-    points = []
-    for z0 in range(1, 8):
-        shifted = _shift_poly(fcoeffs, Fraction(z0))
-        res = _sylvester_resultant(fcoeffs, shifted)
-        points.append((Fraction(z0 * z0), res / Fraction(z0) ** 4))
-    # Lagrange interpolation, degree 6 through 7 points
-    out = [Fraction(0)] * 7
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            basis = _poly_mul_frac(basis, [-xj, Fraction(1)])
-            denom *= xi - xj
-        scale = yi / denom
-        for k, c in enumerate(basis):
-            out[k] += scale * c
-    return out
+    w = IntPolynomial.x()
+
+    def times_theta(v):
+        # theta^3 = a2 theta^2 - c theta + d
+        x0, x1, x2 = v
+        return (x2 * d, x0 - x2 * c, x1 + x2 * a2)
+
+    g0 = w * w - (a1 * a1 - 2 * a2) * w + (a2 * a2 - 4 * c)
+    col0 = (g0, 2 * (w + a2), IntPolynomial.constant(-3))
+    col1 = times_theta(col0)
+    col2 = times_theta(col1)
+    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = col0, col1, col2
+    det = (
+        m00 * (m11 * m22 - m12 * m21)
+        - m01 * (m10 * m22 - m12 * m20)
+        + m02 * (m10 * m21 - m11 * m20)
+    )
+    return det.coeffs
 
 
-def _shift_poly(coeffs, a):
-    """f(y + a) for ascending Fraction coefficients."""
-    out = [Fraction(0)] * len(coeffs)
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        for j in range(i + 1):
-            out[j] += c * math.comb(i, j) * a ** (i - j)
-    return out
+def _integer_roots_monic_quadratic(p1: int, p0: int):
+    """The two integer roots of y^2 + p1 y + p0, or None when they are irrational."""
+    disc = p1 * p1 - 4 * p0
+    if not is_square(disc):
+        return None
+    s = math.isqrt(disc)
+    return (-p1 + s) // 2, (-p1 - s) // 2
 
 
-def _poly_mul_frac(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
+def _splits_into_quadratics(quartic: IntPolynomial, theta: int) -> bool:
+    """Whether the integral monic quartic is (x^2 - u x + v)(x^2 - u' x + v') with v + v' = theta.
 
-
-def _rationalize(x: float, max_den: int = 10**6) -> Fraction | None:
-    fr = Fraction(x).limit_denominator(max_den)
-    if abs(float(fr) - x) < 1e-6 * max(1.0, abs(x)):
-        return fr
-    return None
-
-
-def _quartic_disc(f):
-    """Discriminant of a monic quartic (ascending Fraction coefficients)."""
-    df = [i * c for i, c in enumerate(f)][1:]
-    return _sylvester_resultant(f, df)
-
-
-def _splits_over_quadratic(f, kernel: int, roots) -> bool:
-    """Whether the quartic factors into conjugate quadratics over Q(sqrt(kernel)).
-
-    Candidates come from numeric root pairings; a candidate counts only when
-    the exact product over Q(sqrt(kernel)) reproduces f.  Elements of the
-    quadratic field are (a, b) = a + b*sqrt(kernel) with Fraction parts.
+    For such a split, v and v' are the roots of y^2 - theta y + a4 and u, u'
+    those of y^2 + a1 y + (a2 - theta); both pairings of the two root pairs
+    are confirmed by exact multiplication.
     """
-    sq = cmath.sqrt(complex(kernel))
+    a4, _, a2, a1, _ = quartic.coeffs
+    vs = _integer_roots_monic_quadratic(-theta, a4)
+    us = _integer_roots_monic_quadratic(a1, a2 - theta)
+    if vs is None or us is None:
+        return False
+    (v1, v2), (u1, u2) = vs, us
+    return any(
+        IntPolynomial((v1, -u, 1)) * IntPolynomial((v2, -u_, 1)) == quartic
+        for u, u_ in ((u1, u2), (u2, u1))
+    )
 
-    def decompose(v1, v2):
-        # v1 = u + w, v2 = u - w with u rational and w a rational multiple of sq
-        mid = (v1 + v2) / 2
-        if abs(mid.imag) > 1e-6 * max(1.0, abs(mid)):
-            return None
-        u = _rationalize(mid.real)
-        wc = (v1 - v2) / 2
-        if abs(sq) < 1e-12:
-            return None
-        ratio = wc / sq
-        if abs(ratio.imag) > 1e-6 * max(1.0, abs(ratio)):
-            return None
-        b = _rationalize(ratio.real)
-        if u is None or b is None:
-            return None
-        return u, b
 
-    def qmul(x, y):
-        return (
-            x[0] * y[0] + x[1] * y[1] * kernel,
-            x[0] * y[1] + x[1] * y[0],
-        )
+def _kappe_warren(a1, a2, a4, thetas, disc) -> str:
+    """Galois group of an irreducible integral monic quartic from its resolvent cubic.
 
-    for (i, j), (k, l) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
-        s1, s2 = roots[i] + roots[j], roots[k] + roots[l]
-        p1, p2 = roots[i] * roots[j], roots[k] * roots[l]
-        ds = decompose(s1, s2)
-        dp = decompose(p1, p2)
-        if ds is None or dp is None:
-            continue
-        s = (ds[0], ds[1])
-        pr = (dp[0], dp[1])
-        s_conj = (ds[0], -ds[1])
-        p_conj = (dp[0], -dp[1])
-        # (x^2 - s x + p)(x^2 - s' x + p') expanded over the field
-        c3 = (-(s[0] + s_conj[0]), -(s[1] + s_conj[1]))
-        c2_f = qmul(s, s_conj)
-        c2 = (c2_f[0] + pr[0] + p_conj[0], c2_f[1] + pr[1] + p_conj[1])
-        t1 = qmul(s, p_conj)
-        t2 = qmul(s_conj, pr)
-        c1 = (-(t1[0] + t2[0]), -(t1[1] + t2[1]))
-        c0 = qmul(pr, p_conj)
-        got = [c0, c1, c2, c3]
-        if all(part[1] == 0 for part in got) and [part[0] for part in got] == list(f[:4]):
-            # nontrivial only when the factors genuinely need sqrt(kernel)
-            if ds[1] != 0 or dp[1] != 0:
-                return True
-    return False
+    `thetas` are the rational roots of the resolvent cubic and `disc` the
+    common discriminant of the quartic and the cubic.
+    """
+    if not thetas:
+        return "A4" if is_square(disc) else "S4"
+    if len(thetas) == 3:
+        return "V4"
+    t = thetas[0]
+    cyclic = all(
+        is_square(delta) or is_square(delta * disc)
+        for delta in (t * t - 4 * a4, a1 * a1 - 4 * (a2 - t))
+    )
+    return "C4" if cyclic else "D4"
 
 
 def d4_resolvent(a1, a2, a3, a4) -> D4ResolventReport:
-    """Difference resolvent of x^4 + a1 x^3 + a2 x^2 + a3 x + a4.
+    """Difference resolvent and D4 test of x^4 + a1 x^3 + a2 x^2 + a3 x + a4.
 
-    Computes the degree-12 polynomial with roots r_i - r_j (i != j) exactly
-    via resultants, then extracts a rational biquadratic factor
-    z^4 + B z^2 + C whose roots are the diagonal differences; candidates
-    come from numeric root pairings and are certified by exact division.
+    Everything is exact integer algebra on the resolvent cubic
+    R(theta) = theta^3 - a2 theta^2 + (a1 a3 - 4 a4) theta -
+    (a1^2 a4 - 4 a2 a4 + a3^2), whose roots r1 r2 + r3 r4, r1 r3 + r2 r4,
+    r1 r4 + r2 r3 belong to the three pairings of the roots.  Rational
+    coefficients are first cleared: with L the lcm of their denominators,
+    g(x) = L^4 f(x / L) is integral and monic, and the results are scaled
+    back (theta by L^2, z by L).
 
-    The square-group verdict combines the factor shape with the group
-    tests it cannot see alone: multiple (or no) pairing factors reject
-    immediately (Klein group, irreducible-resolvent groups); a square
-    discriminant rejects; and the cyclic group -- which produces the same
-    (4)(4)^2 shape as some square-group quartics -- is excluded by an
-    exact splitting of the quartic into conjugate quadratics over
-    Q(sqrt(disc)).
+    The degree-12 resolvent has the roots z = r_i - r_j; it is Q(z^2), and
+    Q(w) is the norm from Q[theta]/R of the factor w^2 - s w + p of the
+    pairing {ij | kl} that belongs to theta, where s = a1^2 - 2 a2 - 2 theta
+    is (r_i - r_j)^2 + (r_k - r_l)^2 and p = (theta' - theta'')^2 is their
+    product written in theta.  So a rational root theta gives the rational
+    biquadratic factor z^4 + B z^2 + C with B = -s = 2 theta + 2 a2 - a1^2
+    and C = p = (a2 - theta)^2 - 4(a1 a3 - 4 a4) + 4 theta (a2 - theta); it
+    is reported when R has exactly one rational root.
+
+    The verdict: a rational root of the quartic, or a split into two
+    rational quadratics (which comes from a rational theta for which
+    y^2 - theta y + a4 and y^2 + a1 y + (a2 - theta) have rational roots),
+    rules D4 out.  For an irreducible quartic the test of L.-C. Kappe and
+    B. Warren (Amer. Math. Monthly 96 (1989) 133-137) decides: no rational
+    theta gives S4 or A4, three give V4, and exactly one gives C4 when both
+    quadratics split over Q(sqrt(disc)), D4 otherwise.  Splitting over
+    Q(sqrt(disc)) means that delta or delta * disc is a square, delta the
+    quadratic's discriminant, so no factorization is needed.
     """
-    f = [Fraction(a4), Fraction(a3), Fraction(a2), Fraction(a1), Fraction(1)]
-    q6 = _difference_resolvent(f)
+    coeffs = [Fraction(a) for a in (a1, a2, a3, a4)]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    b1, b2, b3, b4 = (int(c * scale**k) for k, c in enumerate(coeffs, 1))
+    c, d = b1 * b3 - 4 * b4, b1 * b1 * b4 - 4 * b2 * b4 + b3 * b3
+
     resolvent = [Fraction(0)] * 13
-    for i, c in enumerate(q6):
-        resolvent[2 * i] = c
+    for k, q in enumerate(_difference_resolvent(b1, b2, b3, b4, c, d)):
+        resolvent[2 * k] = Fraction(q, scale ** (12 - 2 * k))
 
-    roots = _poly_roots_dk([complex(c) for c in f])
-    pairings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
-    found = []
-    for (i, j), (k, l) in pairings:
-        wa = (roots[i] - roots[j]) ** 2
-        wb = (roots[k] - roots[l]) ** 2
-        s, pr = wa + wb, wa * wb
-        if abs(s.imag) > 1e-6 * max(1.0, abs(s)) or abs(pr.imag) > 1e-6 * max(1.0, abs(pr)):
-            continue
-        sq = _rationalize(s.real)
-        pq = _rationalize(pr.real)
-        if sq is None or pq is None:
-            continue
-        cand = [pq, -sq, Fraction(1)]  # w^2 - s w + p
-        quot, rem = _frac_poly_divmod(list(q6), cand)
-        if rem:
-            continue
-        if (sq, pq) not in [(x[0], x[1]) for x in found]:
-            found.append((sq, pq, quot))
-    if len(found) != 1:
-        return D4ResolventReport(
-            resolvent,
-            None,
-            False,
-            f"no D4 split: {len(found)} rational biquadratic factors from disjoint pairings",
-        )
-    s, pr, _ = found[0]
-    bi = (-s, pr)  # z^4 + B z^2 + C
+    thetas = [int(t) for t in rational_roots(IntPolynomial((-d, c, -b2, 1)))]
+    biquadratic = None
+    if len(thetas) == 1:
+        t = thetas[0]
+        big_b = 2 * t + 2 * b2 - b1 * b1
+        big_c = (b2 - t) ** 2 - 4 * c + 4 * t * (b2 - t)
+        biquadratic = (Fraction(big_b, scale**2), Fraction(big_c, scale**4))
 
-    # reducibility over Q kills the transitive-group reading outright
-    from .factorcyc import rational_roots
-    from .numtheory import squarefree_kernel
+    def report(is_d4: bool, detail: str) -> D4ResolventReport:
+        return D4ResolventReport(resolvent, biquadratic, is_d4, detail)
 
-    lcm = 1
-    for c in f:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    if rational_roots(IntPolynomial(tuple(int(c * lcm) for c in f))):
-        return D4ResolventReport(resolvent, bi, False, "no D4 split: rational root")
-
-    disc = _quartic_disc(f)
-    if disc == 0:
-        return D4ResolventReport(resolvent, bi, False, "no D4 split: repeated roots")
-    kernel, leftover = squarefree_kernel(disc)
-    if leftover != 1:
-        return D4ResolventReport(resolvent, bi, False, "undecided: discriminant kernel unfactored")
-    if kernel == 1:
-        return D4ResolventReport(
-            resolvent, bi, False, "no D4 split: square discriminant (Klein/alternating side)"
-        )
-    if _splits_over_quadratic(f, kernel, roots):
-        return D4ResolventReport(
-            resolvent, bi, False, "no D4 split: splits over Q(sqrt(disc)) (cyclic quartic)"
-        )
-
-    zroots = []
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                zroots.append(roots[i] - roots[j])
-    quartics = _rational_quartic_factors(zroots, resolvent, bi)
-    if quartics == "d4":
-        return D4ResolventReport(resolvent, bi, True, "degree-8 cofactor has no rational quartic split")
-    if quartics == "d4-repeated":
-        return D4ResolventReport(resolvent, bi, True, "degree-8 cofactor is a repeated rational quartic")
-    return D4ResolventReport(resolvent, bi, False, quartics)
-
-
-def _rational_quartic_factors(zroots, resolvent, bi):
-    """Shape of resolvent / (z^4 + B z^2 + C) via bounded rational-quartic search."""
-    b, c = bi
-    factor = [c, Fraction(0), b, Fraction(0), Fraction(1)]
-    cofactor, rem = _frac_poly_divmod([Fraction(x) for x in resolvent], factor)
-    assert not rem
-    # numeric roots of the cofactor: remove four roots of the biquadratic factor
-    remaining = list(zroots)
-    for w_root in _poly_roots_dk([complex(c), 0j, complex(b), 0j, 1 + 0j]):
-        best = min(range(len(remaining)), key=lambda idx: abs(remaining[idx] - w_root))
-        remaining.pop(best)
-    assert len(remaining) == 8
-    import itertools
-
-    divisors = []
-    for combo in itertools.combinations(range(8), 4):
-        poly = [1 + 0j]
-        for idx in combo:
-            poly = _poly_mul_c(poly, [-remaining[idx], 1 + 0j])
-        coeffs = []
-        ok = True
-        for cc in poly:
-            if abs(cc.imag) > 1e-5 * max(1.0, abs(cc)):
-                ok = False
-                break
-            r = _rationalize(cc.real)
-            if r is None:
-                ok = False
-                break
-            coeffs.append(r)
-        if not ok:
-            continue
-        quot, rem = _frac_poly_divmod(list(cofactor), coeffs)
-        if not rem and coeffs not in [d[0] for d in divisors]:
-            divisors.append((coeffs, quot))
-    if not divisors:
-        return "d4"
-    if len(divisors) == 1:
-        coeffs, quot = divisors[0]
-        # repeated factor: quotient equals the factor again
-        if [Fraction(x) for x in quot] == coeffs:
-            return "d4-repeated"
-    return f"no D4 split: degree-8 cofactor has {len(divisors)} rational quartic factor(s)"
-
-
-def _poly_mul_c(a, b):
-    out = [0j] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
+    quartic = IntPolynomial((b4, b3, b2, b1, 1))
+    if rational_roots(quartic):
+        return report(False, "no D4 split: rational root")
+    if any(_splits_into_quadratics(quartic, t) for t in thetas):
+        return report(False, "no D4 split: factors into rational quadratics")
+    # the quartic is irreducible, so separable, and R shares its discriminant
+    disc = b2 * b2 * c * c - 4 * c**3 - 4 * b2**3 * d - 27 * d * d + 18 * b2 * c * d
+    group = _kappe_warren(b1, b2, b4, thetas, disc)
+    return report(group == "D4", _GROUP_DETAIL[group])

@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .exactcore import IntPolynomial
 from .factorcyc import rational_roots
-from .numtheory import factorize, valuation
+from .numtheory import factorize, is_square, valuation
 from .padic import PAdicPoly, padic_root_search, roots_mod_p
 from .solver import d4_resolvent
 
@@ -245,18 +245,10 @@ def _criterion_primes(form: CubicForm):
 def _gate(form: CubicForm):
     if not form.is_irreducible():
         raise DegenerateCubicError("cubic is reducible over Q")
-    if _is_square_rational(form.delta):
+    if is_square(form.delta.numerator * form.delta.denominator):
         raise DegenerateCubicError(
             "square discriminant: cyclic cubic, outside this criterion"
         )
-
-
-def _is_square_rational(q: Fraction) -> bool:
-    n = q.numerator * q.denominator
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
 
 
 def cubic_criterion(form: CubicForm) -> RamificationReport:
@@ -573,8 +565,14 @@ def quartic_d4_criterion(b, c, oracle_places: bool = True) -> RamificationReport
     delta < 0.  Finite places: at primes dividing c*delta an odd number of
     times, |c/b^2|_p < 1 or |delta/(2 b^2)|_p < 1 certify no extra
     ramification (the second via the companion quartic x^4 + 2b x^2 + delta).
-    The D4 shape is taken from the difference resolvent; non-D4 input is
-    rejected.
+
+    Non-D4 input is rejected.  The verdict is `solver.d4_resolvent`'s exact
+    Kappe-Warren test: here the resolvent cubic is (theta - b)(theta^2 - 4c),
+    so theta = b is always a rational root, and an irreducible quartic is D4
+    exactly when none of c, delta and c*delta is a rational square.  The
+    recorded resolvent factor is the one read off theta = b,
+    z^4 + 4b z^2 + 16c, whose roots are the differences +-2r of opposite
+    roots.
     """
     b, c = Fraction(b), Fraction(c)
     if b == 0:

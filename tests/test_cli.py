@@ -67,6 +67,11 @@ def test_solve_char2_and_resolvent():
     assert r.status == "ok"
     r = run(["solve", "quartic-resolvent", "--a4", "-2"])
     assert r.payload["is_d4"] and r.payload["biquadratic"] == ["0", "-32"]
+    # (x^2 - 2x - 2)(x^2 - 2x + 2) is reducible, so not D4
+    r = run(["solve", "quartic-resolvent", "--a1", "-4", "--a2", "4", "--a4", "-4"])
+    assert r.status == "ok" and r.payload["is_d4"] is False
+    assert r.payload["detail"] == "no D4 split: factors into rational quadratics"
+    assert json.loads(r.render())["is_d4"] is False
 
 
 def test_scan_and_csv():

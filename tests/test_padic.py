@@ -247,21 +247,41 @@ def test_root_search_verifies():
             assert value % p**20 == 0, (p, coeffs, r)
 
 
+def _roots_mod_prime_power(coeffs, p, k):
+    """Every residue x mod p^k with f(x) = 0 mod p^k.
+
+    Built level by level: a root mod p^j reduces to a root mod p^(j-1), so
+    the roots mod p^j are the lifts r + i p^(j-1) (0 <= i < p) of the roots
+    r mod p^(j-1) that satisfy f = 0 mod p^j.
+    """
+    roots = [0]  # the one residue mod p^0
+    for j in range(1, k + 1):
+        step, mod = p ** (j - 1), p**j
+        roots = [
+            x
+            for r in roots
+            for x in range(r, mod, step)
+            if sum(c * x**i for i, c in enumerate(coeffs)) % mod == 0
+        ]
+    return roots
+
+
 def test_root_search_completeness_small_primes():
-    # compare against residue enumeration mod p^8
+    # compare against the residues mod p^8 that are roots mod p^8
     rng = random.Random(17)
+    cross_checked = 0
     for _ in range(60):
         p = rng.choice([2, 3, 5])
         coeffs = [rng.randint(-15, 15) for _ in range(3)] + [1]
         rs = padic_root_search(PAdicPoly.from_rationals(coeffs, p, 24), depth=30)
         if not rs.complete:
             continue
-        mod = p**8
-        brute = {
-            x % p**4
-            for x in range(mod)
-            if sum(c * x**i for i, c in enumerate(coeffs)) % mod == 0
-        }
+        if cross_checked < 5:
+            # the level-by-level lift agrees with a full enumeration mod p^4
+            full = [x for x in range(p**4) if sum(c * x**i for i, c in enumerate(coeffs)) % p**4 == 0]
+            assert sorted(_roots_mod_prime_power(coeffs, p, 4)) == full, (p, coeffs)
+            cross_checked += 1
+        brute = {x % p**4 for x in _roots_mod_prime_power(coeffs, p, 8)}
         got = {r.lift() % p**4 for r in rs.roots}
         assert got <= brute, (p, coeffs)
         # every brute residue class contains at most one claimed root; and
@@ -271,6 +291,7 @@ def test_root_search_completeness_small_primes():
         for x in brute:
             if deriv(x) % p != 0 and f(x) % p == 0:
                 assert any(r.lift() % p == x % p for r in rs.roots), (p, coeffs, x)
+    assert cross_checked == 5
 
 
 def test_roots_mod_p_large_prime_gcd_path():

@@ -1,10 +1,12 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chebykit.exactcore import cheb_first_kind, cheb_pow_ladder
+from chebykit.exactcore import IntPolynomial, cheb_first_kind, cheb_pow_ladder
 from chebykit.gf2m import GF2m, embed
 from chebykit.solver import (
     char2_artin_schreier,
@@ -299,3 +301,162 @@ def test_d4_resolvent_is_difference_polynomial():
     for d in diffs:
         val = sum(c * d**i for i, c in enumerate(poly))
         assert abs(val) < 1e-6, (d, val)
+
+
+# ---------------------------------------------------------------------------
+# The exact D4 test and its degree-12 resolvent
+
+
+def _sylvester_resultant(a, b):
+    """Resultant of two ascending Fraction polynomials by Gaussian elimination."""
+    m, n = len(a) - 1, len(b) - 1
+    size = m + n
+    mat = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(n):
+        for j, c in enumerate(reversed(a)):
+            mat[i][i + j] = c
+    for i in range(m):
+        for j, c in enumerate(reversed(b)):
+            mat[n + i][i + j] = c
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((row for row in range(col, size) if mat[row][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det *= mat[col][col]
+        for row in range(col + 1, size):
+            factor = mat[row][col] / mat[col][col]
+            for j in range(col, size):
+                mat[row][j] -= factor * mat[col][j]
+    return det
+
+
+def _reference_resolvent(a1, a2, a3, a4):
+    """Q(w) with Res_y(f(y), f(y + z)) / z^4 = Q(z^2), at seven points, interpolated."""
+    f = [Fraction(c) for c in (a4, a3, a2, a1, 1)]
+    points = []
+    for z in range(1, 8):
+        shifted = [
+            sum(f[i] * math.comb(i, j) * z ** (i - j) for i in range(j, 5)) for j in range(5)
+        ]
+        points.append((Fraction(z * z), _sylvester_resultant(f, shifted) / z**4))
+    out = [Fraction(0)] * 7
+    for i, (xi, yi) in enumerate(points):
+        basis, denom = [Fraction(1)], Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if i != j:
+                basis = [Fraction(0)] + basis  # times w
+                for k in range(len(basis) - 1):
+                    basis[k] -= xj * basis[k + 1]
+                denom *= xi - xj
+        for k, c in enumerate(basis):
+            out[k] += yi / denom * c
+    return out
+
+
+def test_d4_resolvent_matches_reference_resolvent():
+    rng = random.Random(1989)
+    quartics = [tuple(rng.randint(-30, 30) for _ in range(4)) for _ in range(40)]
+    quartics += [
+        tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(4)) for _ in range(20)
+    ]
+    quartics += [(Fraction(1, 2), 0, 0, Fraction(-2, 3)), (0, Fraction(3, 4), 0, Fraction(-1, 8))]
+    for q in quartics:
+        rep = d4_resolvent(*q)
+        assert rep.resolvent[0::2] == _reference_resolvent(*q), q
+        assert not any(rep.resolvent[1::2]), q
+
+
+# one quartic per transitive group, with large-coefficient D4 cases
+GROUP_TABLE = [
+    ((0, 0, 0, -2), "D4"),
+    ((1, 1, 1, 1), "C4"),
+    ((0, 0, 0, 1), "V4"),
+    ((0, 0, 8, 12), "A4"),
+    ((0, 0, 1, 1), "S4"),
+    ((0, 0, 0, -2 * 1000**4), "D4"),
+    ((-101, -11 * 101**2, -(101**3), 101**4), "D4"),  # the cycle4 quartic, t = 11, scaled by 101
+]
+
+
+def _group(rep):
+    return rep.detail[rep.detail.rindex("(") + 1 : -1]
+
+
+@pytest.mark.parametrize("quartic, group", GROUP_TABLE)
+def test_d4_resolvent_known_groups(quartic, group):
+    rep = d4_resolvent(*quartic)
+    assert rep.is_d4 == (group == "D4")
+    assert _group(rep) == group, rep.detail
+    assert rep.detail.startswith("no D4 split") == (group != "D4")
+    # the biquadratic factor exists exactly when the resolvent cubic has one rational root
+    assert (rep.biquadratic is not None) == (group in ("D4", "C4"))
+
+
+def test_d4_resolvent_rejects_quartics_split_into_rational_quadratics():
+    # (x^2 - 2x - 2)(x^2 - 2x + 2) and (x^2 - x - 1)(x^2 - x + 1)
+    for quartic in [(-4, 4, 0, -4), (-2, 1, 0, -1)]:
+        rep = d4_resolvent(*quartic)
+        assert not rep.is_d4
+        assert rep.detail == "no D4 split: factors into rational quadratics"
+
+
+def _integer_factor_shape(a1, a2, a3, a4):
+    """'root', 'quadratics' or None for x^4 + a1 x^3 + a2 x^2 + a3 x + a4, by brute force."""
+    f = IntPolynomial((a4, a3, a2, a1, 1))
+    bound = 1 + max(abs(a) for a in (a1, a2, a3, a4))
+    if any(f(x) == 0 for x in range(-bound, bound + 1)):
+        return "root"
+    for c in range(-abs(a4), abs(a4) + 1):
+        if c == 0 or a4 % c:
+            continue
+        for b in range(-2 * bound, 2 * bound + 1):
+            _, rem = f.divmod_exact(IntPolynomial((c, b, 1)))
+            if rem.is_zero():
+                return "quadratics"
+    return None
+
+
+def test_d4_resolvent_reducible_quartics_match_brute_force():
+    span = range(-3, 4)
+    for a1 in span:
+        for a2 in span:
+            for a3 in span:
+                for a4 in span:
+                    rep = d4_resolvent(a1, a2, a3, a4)
+                    shape = _integer_factor_shape(a1, a2, a3, a4)
+                    if shape == "root":
+                        assert rep.detail == "no D4 split: rational root", (a1, a2, a3, a4)
+                    elif shape == "quadratics":
+                        assert rep.detail == "no D4 split: factors into rational quadratics"
+                    else:
+                        assert _group(rep) in ("S4", "A4", "V4", "C4", "D4"), rep.detail
+
+
+_SMALL = st.integers(min_value=-12, max_value=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    quartic=st.one_of(st.sampled_from([q for q, _ in GROUP_TABLE]), st.tuples(_SMALL, _SMALL, _SMALL, _SMALL)),
+    m=st.integers(min_value=1, max_value=10**4),
+)
+def test_d4_resolvent_invariant_under_scaling(quartic, m):
+    # x -> x/m multiplies the roots and the differences by m: same group,
+    # (B, C) -> (m^2 B, m^4 C), in either direction
+    base = d4_resolvent(*quartic)
+    for scaled, factor in (
+        ([a * m**k for k, a in enumerate(quartic, 1)], m),
+        ([Fraction(a, m**k) for k, a in enumerate(quartic, 1)], Fraction(1, m)),
+    ):
+        rep = d4_resolvent(*scaled)
+        assert rep.is_d4 == base.is_d4
+        assert rep.detail == base.detail
+        if base.biquadratic is None:
+            assert rep.biquadratic is None
+        else:
+            b, c = base.biquadratic
+            assert rep.biquadratic == (factor**2 * b, factor**4 * c)
