@@ -168,14 +168,6 @@ def branch_combination(t, n: int, i: int) -> complex:
 # Second-kind values for arbitrary complex order
 
 
-def _gen_binom(a, m: int):
-    """Generalized binomial coefficient C(a, m) for complex a, integer m >= 0."""
-    out = complex(1.0)
-    for j in range(m):
-        out *= (a - j) / (j + 1)
-    return out
-
-
 def _s_series_near2(h, k) -> complex:
     """S_k(2+h) = sum_i C(k+i, 2i+1) h^i, radius 4."""
     k = complex(k)
@@ -265,14 +257,14 @@ def series_cheb_pow_near2(x, k) -> complex:
     return total
 
 
-def hypergeometric_2f1(a, b, c, z, max_terms: int = _MAX_TERMS) -> complex:
+def hypergeometric_2f1(a, b, c, z) -> complex:
     """Direct summation of the Gauss series inside its disc of convergence."""
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError("direct 2F1 summation needs |z| < 1")
     term = complex(1.0)
     total = term
-    for n in range(max_terms):
+    for n in range(_MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
         total += term
         if abs(term) < _TRUNC * max(1.0, abs(total)):

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import os
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,10 +52,6 @@ def _cplx(text: str) -> complex:
     return complex(float(text), 0.0)
 
 
-def _c2j(z: complex):
-    return [z.real, z.imag]
-
-
 def _poly_arg(text: str):
     return exactcore.IntPolynomial(tuple(json.loads(text)))
 
@@ -70,7 +65,6 @@ def _default_prec(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="chebykit")
-    top.add_argument("--seed", type=int, default=0, help="seed for any randomized scan ordering")
     top.add_argument("--jobs", type=int, default=1, help="parallel workers for grid scans")
     sub = top.add_subparsers(dest="family", required=True)
 
@@ -276,11 +270,11 @@ def _run_factor(args, op) -> CommandResult:
 
 def _run_branch(args, op) -> CommandResult:
     if op == "principal":
-        return CommandResult("ok", {"value": _c2j(analytic.principal_radical(_cplx(args.t), args.n))})
+        return CommandResult("ok", {"value": solver._c2j(analytic.principal_radical(_cplx(args.t), args.n))})
     if op == "radical":
-        return CommandResult("ok", {"value": _c2j(analytic.branch_radical(_cplx(args.t), args.n, args.l))})
+        return CommandResult("ok", {"value": solver._c2j(analytic.branch_radical(_cplx(args.t), args.n, args.l))})
     if op == "combination":
-        return CommandResult("ok", {"value": _c2j(analytic.branch_combination(_cplx(args.t), args.n, args.i))})
+        return CommandResult("ok", {"value": solver._c2j(analytic.branch_combination(_cplx(args.t), args.n, args.i))})
     if op == "equiv":
         return CommandResult("ok", {"equivalent": analytic.branch_equiv(args.i, args.j, args.n)})
     raise AssertionError(op)
@@ -292,7 +286,7 @@ def _run_solve(args, op) -> CommandResult:
         delta, eps = solver.cubic_eps(_frac(args.b), _frac(args.c))
         return CommandResult(
             "ok",
-            {"roots": [_c2j(r) for r in roots], "delta": str(delta), "epsilon": str(eps)},
+            {"roots": [solver._c2j(r) for r in roots], "delta": str(delta), "epsilon": str(eps)},
         )
     if op == "tower":
         if args.direction == "cheb-to-radical":
@@ -366,15 +360,15 @@ def _run_unram(args, op) -> CommandResult:
     if op == "scan":
         span = args.span
         cs = list(range(-span, span + 1))
-        if args.seed:
-            random.Random(args.seed).shuffle(cs)  # order only; merge is sorted
         bs = [args.b] * len(cs)
-        if args.jobs > 1:
+        # the pool starts every worker up front, so never more than there are rows or cores
+        workers = min(args.jobs, len(cs), os.cpu_count() or 1)
+        if workers > 1:
             import concurrent.futures
 
             # one chunk per worker: pickling each row as its own task costs more than the row
-            chunksize = -(-len(cs) // args.jobs)
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            chunksize = -(-len(cs) // workers)
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = sorted(pool.map(unram.scan_row, bs, cs, chunksize=chunksize))
         else:
             rows = sorted(map(unram.scan_row, bs, cs))

@@ -17,6 +17,25 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+def horner(coeffs, x):
+    """sum(c_i x^i) for ascending coefficients, by Horner's rule in the ring of x.
+
+    The accumulator starts from that ring's own zero, 0 * x, so the same
+    loop serves ints, Fractions, complex numbers, residues, p-adic numbers,
+    GF(2^m) elements and IntPolynomial (where it composes).
+    """
+    acc = 0 * x
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def clear_denominators(coeffs) -> list:
+    """The integers lcm * c for rational coefficients c, lcm the lcm of their denominators."""
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (lcm // c.denominator) for c in coeffs]
+
+
 def _trim(coeffs):
     """Drop trailing zero coefficients."""
     end = len(coeffs)
@@ -127,17 +146,11 @@ class IntPolynomial:
 
     def __call__(self, value):
         """Evaluate by Horner's rule; works for ints, Fractions, complex, ..."""
-        result = 0 * value  # additive zero in the argument's ring
-        for c in reversed(self.coeffs):
-            result = result * value + c
-        return result
+        return horner(self.coeffs, value)
 
     def compose(self, other):
         """Exact polynomial composition self(other(x))."""
-        result = IntPolynomial(())
-        for c in reversed(self.coeffs):
-            result = result * other + IntPolynomial((c,))
-        return result
+        return horner(self.coeffs, other)
 
     def divmod_exact(self, divisor):
         """Quotient and remainder where every coefficient step divides exactly.
@@ -284,17 +297,6 @@ class BiPolynomial:
         return BiPolynomial(tuple(tuple(r) for r in out))
 
     __rmul__ = __mul__
-
-    def eval_y(self, a) -> IntPolynomial:
-        """Substitute y = a (an integer), leaving a polynomial in x."""
-        return IntPolynomial(tuple(IntPolynomial(row)(a) for row in self.rows))
-
-    def eval_x(self, a) -> IntPolynomial:
-        nx, ny = self._shape()
-        cols = []
-        for j in range(ny):
-            cols.append(IntPolynomial(tuple(self.coeff(i, j) for i in range(nx)))(a))
-        return IntPolynomial(tuple(cols))
 
     def __call__(self, x, y):
         return sum(

@@ -29,7 +29,7 @@ from .exactcore import (
     cheby_transform,
     u_odd_poly,
 )
-from .numtheory import is_prime
+from .numtheory import divisors, factorize, is_prime
 from .padic import _fp_gcd, _newton_lift_simple, roots_mod_p
 
 
@@ -115,23 +115,16 @@ def cyclotomic(n: int) -> IntPolynomial:
     if n < 1:
         raise ValueError("order must be >= 1")
     poly = IntPolynomial.monomial(n) - IntPolynomial.one()
-    for d in range(1, n):
-        if n % d == 0:
-            poly = poly // cyclotomic(d)
+    for d in divisors(n)[:-1]:
+        poly = poly // cyclotomic(d)
     return poly
 
 
 def euler_phi(n: int) -> int:
+    """The number of k in [1, n] prime to n >= 1."""
     result = n
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in factorize(n)[0]:
+        result -= result // p
     return result
 
 
@@ -161,23 +154,10 @@ def u_psi_factorization(n: int) -> FactorList:
     """Split U_n (odd n) into the Chebyshev-cyclotomic polynomials of divisors of n."""
     if n < 1 or n % 2 == 0:
         raise ValueError("order must be odd and >= 1")
-    factors = []
-    for d in range(1, n + 1):
-        if n % d == 0:
-            factors.append((cheb_cyclotomic(d), 1))
-    result = FactorList(1, factors)
+    result = FactorList(1, [(cheb_cyclotomic(d), 1) for d in divisors(n)])
     if result.expand() != u_odd_poly(n):
         raise AssertionError(f"cyclotomic split failed for U_{n}")
     return result
-
-
-def _two_adic_split(n: int):
-    """n = l * m with l the largest power of two dividing n."""
-    l, m = 1, n
-    while m % 2 == 0:
-        l *= 2
-        m //= 2
-    return l, m
 
 
 def structural_factorizations(n: int) -> dict:
@@ -233,7 +213,8 @@ def structural_factorizations(n: int) -> dict:
         assert fl.expand() == cn
         out["odd_u"] = fl
 
-    l, m = _two_adic_split(n)
+    l = n & -n  # the largest power of two dividing n
+    m = n // l
     if m > 1 and l > 1:
         inner = -cheb_first_kind(2 * l)
         fl = FactorList(

@@ -12,6 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .exactcore import horner
+from .numtheory import factorize
+
 # modulus bitmasks, bit m set; index by m
 _DEFAULT_MODULI = {
     1: 0b11,                 # x + 1
@@ -70,18 +73,7 @@ def _is_irreducible(mod: int) -> bool:
     if t != x:
         return False
     # gcd(x^(2^(m/q)) - x, f) == 1 for prime divisors q of m
-    q = 2
-    mm = m
-    primes = set()
-    while q * q <= mm:
-        if mm % q == 0:
-            primes.add(q)
-            while mm % q == 0:
-                mm //= q
-        q += 1
-    if mm > 1:
-        primes.add(mm)
-    for q in primes:
+    for q in factorize(m)[0]:
         t = x
         for _ in range(m // q):
             t = _clmod(_clmul(t, t), mod)
@@ -116,7 +108,10 @@ class GF2m:
         return f"GF2m({self.m}, modulus={bin(self.modulus)})"
 
     def __call__(self, bits: int) -> "GF2mElement":
-        return GF2mElement(self, bits % self.order if bits >= 0 else _clmod(bits, self.modulus))
+        """The element whose bits, as a polynomial over GF(2), are reduced mod the modulus."""
+        if bits < 0:
+            raise ValueError(f"bit pattern {bits} is negative")
+        return GF2mElement(self, _clmod(bits, self.modulus))
 
     def zero(self):
         return self(0)
@@ -220,17 +215,10 @@ def _embedding_image(m: int, big_m: int) -> int:
     """Bits of a root of the degree-m default modulus inside GF(2^big_m)."""
     if big_m % m != 0:
         raise ValueError("target degree must be a multiple of the source degree")
-    small_mod = _DEFAULT_MODULI[m]
     big = GF2m(big_m)
-    coeffs = [(small_mod >> i) & 1 for i in range(m + 1)]
+    coeffs = [big((_DEFAULT_MODULI[m] >> i) & 1) for i in range(m + 1)]
     for v in range(big.order):
-        el = big(v)
-        acc = big.zero()
-        for c in reversed(coeffs):
-            acc = acc * el
-            if c:
-                acc = acc + big.one()
-        if acc.is_zero():
+        if horner(coeffs, big(v)).is_zero():
             return v
     raise AssertionError("no root of the subfield modulus found")
 
@@ -240,24 +228,13 @@ def embed(x: GF2mElement, big: GF2m) -> GF2mElement:
     if big.m == x.field.m:
         return big(x.bits)
     image = big(_embedding_image(x.field.m, big.m))
-    acc = big.zero()
-    for i in reversed(range(x.field.m)):
-        acc = acc * image
-        if (x.bits >> i) & 1:
-            acc = acc + big.one()
-    return acc
+    return horner([big((x.bits >> i) & 1) for i in range(x.field.m)], image)
 
 
 def retract(y: GF2mElement, small: GF2m) -> GF2mElement | None:
     """Inverse of embed when y lies in the embedded subfield, else None."""
-    image = y.field(_embedding_image(small.m, y.field.m))
     # brute inverse: the subfield is small at desk scale
-    for v in range(small.order):
-        acc = y.field.zero()
-        for i in reversed(range(small.m)):
-            acc = acc * image
-            if (v >> i) & 1:
-                acc = acc + y.field.one()
-        if acc == y:
-            return small(v)
+    for x in small.elements():
+        if embed(x, y.field) == y:
+            return x
     return None

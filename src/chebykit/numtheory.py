@@ -2,8 +2,10 @@
 
 Trial division by the primes below a bound, then Pollard rho with a Brent
 cycle and an iteration budget; anything left unfactored is surfaced
-explicitly rather than guessed at.  Primality is deterministic Miller-Rabin (valid far beyond
-the 64-bit range).
+explicitly rather than guessed at.  Primality is Miller-Rabin to the
+first twelve prime bases, which is deterministic below
+psi_12 = 318665857834031151167461 (about 3.19e23; J. Sorenson and
+J. Webster, Math. Comp. 86 (2017) 985-1003) and probabilistic above it.
 """
 
 from __future__ import annotations
@@ -19,14 +21,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s, d = split_prime(n - 1, 2)
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -128,24 +126,26 @@ def is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def squarefree_kernel(q) -> tuple[int, int]:
-    """Squarefree part of a nonzero rational, as (kernel, leftover).
-
-    For q = s * k^2 with s squarefree, returns (s, 1); an unfactorable
-    cofactor is reported in `leftover` (and treated as part of the kernel
-    by callers only at their own peril).
-    """
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("kernel of zero")
-    n = q.numerator * q.denominator  # same squarefree part as q
-    sign = -1 if n < 0 else 1
-    factors, leftover = factorize(abs(n))
-    kernel = sign
+def divisors(n: int) -> list:
+    """The positive divisors of a nonzero integer, ascending, built from factorize."""
+    factors, leftover = factorize(n)
+    if n == 0 or leftover != 1:
+        raise ValueError(f"cannot list the divisors of {n}")
+    out = [1]
     for p, e in factors.items():
-        if e % 2:
-            kernel *= p
-    return kernel, leftover
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def split_prime(n: int, p: int) -> tuple[int, int]:
+    """(v, m) with n = p^v * m and p not dividing m, for a nonzero integer n and p >= 2."""
+    if p < 2 or n == 0:
+        raise ValueError(f"cannot split {p} out of {n}")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
 
 
 def valuation(x, p: int) -> int | float:
@@ -153,12 +153,9 @@ def valuation(x, p: int) -> int | float:
     x = Fraction(x)
     if x == 0:
         return math.inf
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    # p >= 2 divides at most one of the coprime numerator and denominator
+    if x.numerator % p == 0:
+        return split_prime(x.numerator, p)[0]
+    if x.denominator % p == 0:
+        return -split_prime(x.denominator, p)[0]
+    return 0

@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numtheory import is_prime, valuation
+from .exactcore import clear_denominators, horner
+from .numtheory import is_prime, split_prime, valuation
 
 INF = math.inf
 
@@ -39,7 +40,8 @@ class PAdicNumber:
     """p^val * unit with unit a p-unit known mod p^prec.
 
     Zero forms: an exact zero has val = +inf; an inexact zero O(p^A) has
-    unit == 0, val = A, prec = 0.
+    unit == 0, val = A, prec = 0.  The public constructors check that p is
+    prime; arithmetic builds its results with _of, over the p of an operand.
     """
 
     p: int
@@ -48,9 +50,16 @@ class PAdicNumber:
     prec: int
 
     def __init__(self, p, val, unit, prec):
-        p = int(p)
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        self._fill(_require_prime(p), val, unit, prec)
+
+    @classmethod
+    def _of(cls, p, val, unit, prec) -> "PAdicNumber":
+        """A value over a p already known to be prime."""
+        x = object.__new__(cls)
+        x._fill(p, val, unit, prec)
+        return x
+
+    def _fill(self, p, val, unit, prec):
         if unit == 0:
             if val != INF:
                 val = int(val)
@@ -120,8 +129,7 @@ class PAdicNumber:
     def from_json(data):
         if data["val"] is None:
             return PAdicNumber.zero(data["p"])
-        unit = sum(d * data["p"] ** i for i, d in enumerate(data["digits"]))
-        return PAdicNumber(data["p"], data["val"], unit, data["prec"])
+        return PAdicNumber(data["p"], data["val"], horner(data["digits"], data["p"]), data["prec"])
 
     def __repr__(self):
         if self.is_exact_zero():
@@ -145,18 +153,15 @@ class PAdicNumber:
             if isinstance(other, Fraction):
                 if reach != INF:
                     digits = max(digits, reach - valuation(other, self.p))
-                return from_rational(other, self.p, digits + 8)
+                return _from_rational(other, self.p, digits + 8)
             # an int's valuation is >= 0, so reach digits suffice for it, and
             # its unit needs no inverse: __init__ reduces it mod p^digits
             if reach != INF:
                 digits = max(digits, reach)
             if other == 0:
-                return PAdicNumber.zero(self.p)
-            p, v = self.p, 0
-            while other % p == 0:
-                other //= p
-                v += 1
-            return PAdicNumber(p, v, other, digits + 8)
+                return PAdicNumber._of(self.p, INF, 0, 0)
+            v, unit = split_prime(other, self.p)
+            return PAdicNumber._of(self.p, v, unit, digits + 8)
         raise TypeError(f"cannot coerce {type(other).__name__}")
 
     def __add__(self, other):
@@ -168,7 +173,7 @@ class PAdicNumber:
         cap = min(self.abs_prec, other.abs_prec)
         vals = [x.val for x in (self, other) if x.unit != 0]
         if not vals:
-            return PAdicNumber.inexact_zero(self.p, cap)
+            return PAdicNumber._of(self.p, cap, 0, 0)
         m = min(min(vals), cap)
         scale = cap - m
         total = 0
@@ -177,19 +182,16 @@ class PAdicNumber:
                 total += x.unit * self.p ** (x.val - m)
         total %= self.p**scale
         if total == 0:
-            return PAdicNumber.inexact_zero(self.p, cap)
-        s = 0
-        while total % self.p == 0:
-            total //= self.p
-            s += 1
-        return PAdicNumber(self.p, m + s, total, scale - s)
+            return PAdicNumber._of(self.p, cap, 0, 0)
+        s, unit = split_prime(total, self.p)
+        return PAdicNumber._of(self.p, m + s, unit, scale - s)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.unit == 0:
             return self
-        return PAdicNumber(self.p, self.val, self.p**self.prec - self.unit, self.prec)
+        return PAdicNumber._of(self.p, self.val, self.p**self.prec - self.unit, self.prec)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -202,12 +204,12 @@ class PAdicNumber:
     def __mul__(self, other):
         other = self._coerce(other)
         if self.is_exact_zero() or other.is_exact_zero():
-            return PAdicNumber.zero(self.p)
+            return PAdicNumber._of(self.p, INF, 0, 0)
         if self.unit == 0 or other.unit == 0:
-            return PAdicNumber.inexact_zero(self.p, self.val + other.val)
+            return PAdicNumber._of(self.p, self.val + other.val, 0, 0)
         prec = min(self.prec, other.prec)
         unit = self.unit * other.unit % self.p**prec
-        return PAdicNumber(self.p, self.val + other.val, unit, prec)
+        return PAdicNumber._of(self.p, self.val + other.val, unit, prec)
 
     __rmul__ = __mul__
 
@@ -215,7 +217,7 @@ class PAdicNumber:
         if self.unit == 0:
             raise ZeroDivisionError("inverse of a (possibly) zero p-adic value")
         unit = pow(self.unit, -1, self.p**self.prec)
-        return PAdicNumber(self.p, -self.val, unit, self.prec)
+        return PAdicNumber._of(self.p, -self.val, unit, self.prec)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -227,29 +229,25 @@ class PAdicNumber:
         """Multiply by an exact rational without precision loss."""
         q = Fraction(q)
         if q == 0:
-            return PAdicNumber.zero(self.p)
-        v = valuation(q, self.p)
+            return PAdicNumber._of(self.p, INF, 0, 0)
         if self.is_exact_zero():
             return self
+        vn, num = split_prime(q.numerator, self.p)
+        vd, den = split_prime(q.denominator, self.p)
         if self.unit == 0:
-            return PAdicNumber.inexact_zero(self.p, self.val + v)
-        num, den = q.numerator, q.denominator
-        while num % self.p == 0:
-            num //= self.p
-        while den % self.p == 0:
-            den //= self.p
+            return PAdicNumber._of(self.p, self.val + vn - vd, 0, 0)
         mod = self.p**self.prec
         unit = self.unit * (num % mod) * pow(den % mod, -1, mod) % mod
-        return PAdicNumber(self.p, self.val + v, unit, self.prec)
+        return PAdicNumber._of(self.p, self.val + vn - vd, unit, self.prec)
 
     def cap(self, prec: int) -> "PAdicNumber":
         if self.unit == 0 or self.prec <= prec:
             return self
         unit = self.unit % self.p**prec
         if unit == 0:
-            return PAdicNumber.inexact_zero(self.p, self.val + prec)
+            return PAdicNumber._of(self.p, self.val + prec, 0, 0)
         # val cannot move: unit was a p-unit
-        return PAdicNumber(self.p, self.val, unit, prec)
+        return PAdicNumber._of(self.p, self.val, unit, prec)
 
     def agrees_with(self, other, digits: int | None = None) -> bool:
         """Equality to the joint precision (or to `digits` of absolute precision)."""
@@ -261,29 +259,31 @@ class PAdicNumber:
         return diff.unit == 0 and diff.abs_prec >= target
 
 
+def _require_prime(p) -> int:
+    p = int(p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p
+
+
 def from_rational(a, p: int, prec: int = DEFAULT_PREC) -> PAdicNumber:
     """The p-adic expansion of a rational number to `prec` digits."""
+    return _from_rational(a, _require_prime(p), prec)
+
+
+def _from_rational(a, p: int, prec: int) -> PAdicNumber:
+    """from_rational for a p already known to be prime."""
     a = Fraction(a)
     if a == 0:
-        return PAdicNumber.zero(p)
-    num, den, v = a.numerator, a.denominator, 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
+        return PAdicNumber._of(p, INF, 0, 0)
+    vn, num = split_prime(a.numerator, p)
+    vd, den = split_prime(a.denominator, p)
     mod = p**prec
-    return PAdicNumber(p, v, num * pow(den, -1, mod) % mod, prec)
+    return PAdicNumber._of(p, vn - vd, num * pow(den, -1, mod) % mod, prec)
 
 
 # ---------------------------------------------------------------------------
 # Convergence gates (exact exponent arithmetic)
-
-
-def _val_of(x: PAdicNumber):
-    """Known lower bound on the valuation (the valuation itself when nonzero)."""
-    return x.val
 
 
 def converges_cheb_pow(x: PAdicNumber, k: PAdicNumber) -> bool:
@@ -296,7 +296,7 @@ def converges_cheb_pow(x: PAdicNumber, k: PAdicNumber) -> bool:
     if k.is_exact_zero():
         return True
     h = x - 2
-    vh = _val_of(h)
+    vh = h.val
     if vh == INF:
         return True
     # for an inexact zero k, k.val is a valuation lower bound; using it keeps
@@ -311,7 +311,7 @@ def converges_cheb_pow(x: PAdicNumber, k: PAdicNumber) -> bool:
 def converges_u(x: PAdicNumber, k: PAdicNumber) -> bool:
     """Radius gate for the second-kind series; note the extra |4|_p factor."""
     h = x - 2
-    vh = _val_of(h)
+    vh = h.val
     if vh == INF:
         return True
     p = x.p
@@ -324,7 +324,7 @@ def converges_u(x: PAdicNumber, k: PAdicNumber) -> bool:
 
 def _radius_diagnostic(x: PAdicNumber, k: PAdicNumber, u_series: bool) -> str:
     p = x.p
-    vh = _val_of(x - 2)
+    vh = (x - 2).val
     vk = INF if k.is_exact_zero() else k.val
     v4 = 2 if p == 2 else 0
     if u_series:
@@ -350,11 +350,11 @@ def padic_cheb_pow(x: PAdicNumber, k: PAdicNumber) -> PAdicNumber:
     p = x.p
     h = x - 2
     if h.is_zero_like() and h.abs_prec == INF:
-        return from_rational(2, p, max(x.prec, k.prec, 1))
+        return _from_rational(2, p, max(x.prec, k.prec, 1))
     k2 = k * k
-    term = from_rational(2, p, max(x.prec, k.prec if k.prec else 1, 1) + 8)
+    term = _from_rational(2, p, max(x.prec, k.prec if k.prec else 1, 1) + 8)
     total = term
-    vh = _val_of(h)
+    vh = h.val
     vk = 0 if k.is_exact_zero() else min(k.val, 0)
     integral_k = k.is_exact_zero() or k.val >= 0
     n = 0
@@ -388,14 +388,14 @@ def padic_u(x: PAdicNumber, k: PAdicNumber) -> PAdicNumber:
     p = x.p
     h = x - 2
     if k.is_exact_zero():
-        return PAdicNumber.zero(p)
+        return PAdicNumber._of(p, INF, 0, 0)
     if h.is_zero_like() and h.abs_prec == INF:
         return k
     k2 = k * k
     term = k
     total = term
     v4 = 2 if p == 2 else 0
-    vh = _val_of(h)
+    vh = h.val
     vk = min(k.val, 0)
     integral_k = k.val >= 0
     n = 0
@@ -436,8 +436,9 @@ class PAdicPoly:
 
     @staticmethod
     def from_rationals(coeffs, p: int, prec: int = DEFAULT_PREC) -> "PAdicPoly":
+        p = _require_prime(p)
         fracs = tuple(Fraction(c) for c in coeffs)
-        return PAdicPoly(p, tuple(from_rational(c, p, prec) for c in fracs), fracs)
+        return PAdicPoly(p, tuple(_from_rational(c, p, prec) for c in fracs), fracs)
 
     def degree(self) -> int:
         d = len(self.coeffs) - 1
@@ -446,10 +447,7 @@ class PAdicPoly:
         return d
 
     def __call__(self, x: PAdicNumber) -> PAdicNumber:
-        acc = PAdicNumber.zero(self.p)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
     def derivative(self) -> "PAdicPoly":
         coeffs = tuple(self.coeffs[i].mul_exact(i) for i in range(1, len(self.coeffs)))
@@ -556,7 +554,11 @@ def _fp_powmod(base, e, mod, p):
     return result
 
 
-def roots_mod_p(coeffs, p: int, seed: int = 12345) -> list:
+# the splitting generator's start: fixed, so every run makes the same splits
+_SPLIT_SEED = 12345
+
+
+def roots_mod_p(coeffs, p: int) -> list:
     """Distinct roots in F_p of an integer-coefficient polynomial.
 
     Brute force for small p; otherwise gcd with x^p - x followed by
@@ -569,19 +571,12 @@ def roots_mod_p(coeffs, p: int, seed: int = 12345) -> list:
     if len(red) == 1:
         return []
     if p < 1000:
-        return [r for r in range(p) if _fp_eval(red, r, p) == 0]
+        return [r for r in range(p) if horner(red, r) % p == 0]
     xp = _fp_powmod([0, 1], p, red, p)
     g = _fp_gcd(_fp_sub(xp, [0, 1], p), red, p)
     out = []
-    _split_linears(g, p, out, seed)
+    _split_linears(g, p, out, _SPLIT_SEED)
     return sorted(out)
-
-
-def _fp_eval(c, x, p):
-    acc = 0
-    for ci in reversed(c):
-        acc = (acc * x + ci) % p
-    return acc
 
 
 def _fp_sub(a, b, p):
@@ -641,10 +636,7 @@ def padic_root_search(f: PAdicPoly, depth: int = 24, prec: int | None = None) ->
     if prec is None:
         prec = max((c.prec for c in f.coeffs if not c.is_zero_like()), default=DEFAULT_PREC)
     p = f.p
-    lcm = 1
-    for c in f.exact:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in f.exact]
+    ints = clear_denominators(f.exact)
     if not any(ints):
         raise ValueError("zero polynomial")
     shift = min(valuation(c, p) for c in ints if c)
@@ -657,7 +649,7 @@ def padic_root_search(f: PAdicPoly, depth: int = 24, prec: int | None = None) ->
         if x0 in seen:
             continue
         seen.add(x0)
-        roots.append(_to_padic(x0, p, prec))
+        roots.append(_from_rational(x0, p, prec) if x0 else PAdicNumber._of(p, prec, 0, 0))
     return RootSearchResult(roots, undecided, complete)
 
 
@@ -668,7 +660,7 @@ def _zp_roots(coeffs, p, depth, prec):
     complete = True
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
     for r in roots_mod_p(coeffs, p):
-        if _eval_int(deriv, r) % p != 0:
+        if horner(deriv, r) % p != 0:
             roots.append(_newton_lift_simple(coeffs, deriv, r, p, prec))
             continue
         if depth <= 0:
@@ -692,17 +684,10 @@ def _newton_lift_simple(coeffs, deriv, r, p, prec):
     while k < prec:
         k = min(2 * k, prec)
         mod = p**k
-        fx = _eval_int(coeffs, x) % mod
-        dfx = _eval_int(deriv, x) % mod
+        fx = horner(coeffs, x) % mod
+        dfx = horner(deriv, x) % mod
         x = (x - fx * pow(dfx, -1, mod)) % mod
     return x
-
-
-def _eval_int(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _compose_affine(coeffs, r, p):
@@ -714,13 +699,3 @@ def _compose_affine(coeffs, r, p):
         for j in range(i + 1):
             out[j] += c * math.comb(i, j) * r ** (i - j) * p**j
     return out
-
-
-def _to_padic(x0: int, p: int, prec: int) -> PAdicNumber:
-    if x0 == 0:
-        return PAdicNumber.inexact_zero(p, prec)
-    v = 0
-    while x0 % p == 0:
-        x0 //= p
-        v += 1
-    return PAdicNumber(p, v, x0 % p**prec, prec)

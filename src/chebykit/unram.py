@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .exactcore import IntPolynomial
+from .exactcore import IntPolynomial, clear_denominators, horner
 from .factorcyc import rational_roots
-from .numtheory import factorize, is_square, valuation
+from .numtheory import divisors, factorize, is_square, valuation
 from .padic import PAdicPoly, padic_root_search, roots_mod_p
 from .solver import d4_resolvent
 
@@ -42,17 +42,13 @@ class CubicForm:
     b: Fraction
     c: Fraction
     delta: Fraction
-    epsilon: Fraction
 
     @staticmethod
     def make(b, c) -> "CubicForm":
         b, c = Fraction(b), Fraction(c)
         if b == 0:
             raise DegenerateCubicError("b must be nonzero")
-        delta = -4 * b**3 - 27 * c**2
-        eps = -2 - 27 * c**2 / b**3
-        assert eps == 2 + delta / b**3
-        return CubicForm(b, c, delta, eps)
+        return CubicForm(b, c, -4 * b**3 - 27 * c**2)
 
     def poly(self) -> "list[Fraction]":
         return [self.c, self.b, Fraction(0), Fraction(1)]
@@ -61,7 +57,7 @@ class CubicForm:
         return not self.rational_roots()
 
     def rational_roots(self) -> list:
-        return rational_roots(IntPolynomial(tuple(_clear_denominators(self.poly()))))
+        return rational_roots(IntPolynomial(clear_denominators(self.poly())))
 
     @cached_property
     def analysis(self):
@@ -72,13 +68,6 @@ class CubicForm:
         """
         _gate(self)
         return _criterion_primes(self)
-
-
-def _clear_denominators(coeffs):
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return [int(c * lcm) for c in coeffs]
 
 
 @dataclass(frozen=True)
@@ -311,18 +300,17 @@ def local_cubic_type(coeffs, p: int, depth: int = 60) -> str:
         return "inert"
     deriv = [coeffs[1], 2 * coeffs[2], 3]
     for r in rts:
-        if _ev(deriv, r) % p != 0:
+        if horner(deriv, r) % p != 0:
             return "root"
     if depth <= 0:
         return "undecided"
     r = rts[0]  # unique triple residue
-    t0 = _ev(coeffs, r)
+    t0 = horner(coeffs, r)
     if t0 == 0:
         return "root"
-    t1, t2 = _ev(deriv, r), coeffs[2] + 3 * r
+    t1, t2 = horner(deriv, r), coeffs[2] + 3 * r
     v0 = valuation(t0, p)
-    v1 = valuation(t1, p) if t1 else math.inf
-    v2 = valuation(t2, p) if t2 else math.inf
+    v1, v2 = valuation(t1, p), valuation(t2, p)
     if 3 * v1 >= 2 * v0 and 3 * v2 >= v0:
         # single segment of slope v0/3
         if v0 % 3 != 0:
@@ -338,14 +326,11 @@ def local_cubic_type(coeffs, p: int, depth: int = 60) -> str:
     return "root"
 
 
-def _ev(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+# p-adic digits of the oracle's root search
+_ORACLE_PREC = 48
 
 
-def cubic_oracle(form: CubicForm, prec: int = 48) -> RamificationReport:
+def cubic_oracle(form: CubicForm) -> RamificationReport:
     """Independent p-adic verdict: a local root (or inert type) at every
     relevant prime means the extension is unramified there.
 
@@ -353,7 +338,7 @@ def cubic_oracle(form: CubicForm, prec: int = 48) -> RamificationReport:
     through to the Newton-polygon classification.
     """
     reduced, primes, qf, complete = form.analysis
-    coeffs = _clear_denominators(reduced.poly())
+    coeffs = clear_denominators(reduced.poly())
     assert coeffs[-1] == 1, "reduction should leave the cubic monic integral"
     report = RamificationReport(
         polynomial=f"x^3 + ({form.b})x + ({form.c})",
@@ -364,7 +349,7 @@ def cubic_oracle(form: CubicForm, prec: int = 48) -> RamificationReport:
         report.notes.append("discriminant factorization incomplete; verdict undecided")
     failing, undecided = [], []
     for p in primes:
-        f = PAdicPoly.from_rationals(coeffs, p, prec)
+        f = PAdicPoly.from_rationals(coeffs, p, _ORACLE_PREC)
         search = padic_root_search(f)
         if search.roots:
             verdict = "root"
@@ -386,7 +371,7 @@ def cubic_oracle(form: CubicForm, prec: int = 48) -> RamificationReport:
     return report
 
 
-def cubic_report(b, c, oracle: bool = True, prec: int = 48) -> RamificationReport:
+def cubic_report(b, c, oracle: bool = True) -> RamificationReport:
     """Criterion report, optionally cross-checked prime-by-prime by the oracle.
 
     Agreement flags: away from 3 the two verdicts must match; at 3 a
@@ -397,7 +382,7 @@ def cubic_report(b, c, oracle: bool = True, prec: int = 48) -> RamificationRepor
     form = CubicForm.make(b, c)
     report = cubic_criterion(form)
     if oracle:
-        orc = cubic_oracle(form, prec=prec)
+        orc = cubic_oracle(form)
         ramified_oracle = []
         for e in orc.entries:
             mine = report.entry(e.prime)
@@ -428,7 +413,7 @@ def cubic_report(b, c, oracle: bool = True, prec: int = 48) -> RamificationRepor
 # Families
 
 
-def family_b2t(b: int, t: int, oracle: bool = True) -> RamificationReport:
+def family_b2t(b: int, t: int) -> RamificationReport:
     """The always-unramified family x^3 + b x + b^2 t.
 
     With d = -27 b t^2 - 4 the relevant quadratic field is Q(sqrt(b*d));
@@ -438,7 +423,7 @@ def family_b2t(b: int, t: int, oracle: bool = True) -> RamificationReport:
     if b == 0:
         raise DegenerateCubicError("b must be nonzero")
     try:
-        report = cubic_report(b, b * b * t, oracle=oracle)
+        report = cubic_report(b, b * b * t)
     except DegenerateCubicError:
         roots = CubicForm.make(b, b * b * t).rational_roots()
         if roots:
@@ -495,7 +480,7 @@ def fold_scan(b: int, rows, modulus: int | None = None):
             )
     verdicts = {residue: members[0][1] for residue, members in classes.items()}
     minimal = modulus
-    for div in sorted(_divisors(modulus)):
+    for div in divisors(modulus):
         folded: dict = {}
         ok = True
         for residue, v in verdicts.items():
@@ -516,16 +501,6 @@ def fold_scan(b: int, rows, modulus: int | None = None):
         "verdicts": verdicts,
         "skipped": skipped,
     }
-
-
-def _divisors(n: int):
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.update((d, n // d))
-        d += 1
-    return sorted(out)
 
 
 def b3_congruence_check(b: int, c: int):
@@ -557,7 +532,7 @@ def quartic_real_place(b, c) -> bool:
     return (b < 0 and c > 0) or b * b - 4 * c < 0
 
 
-def quartic_d4_criterion(b, c, oracle_places: bool = True) -> RamificationReport:
+def quartic_d4_criterion(b, c) -> RamificationReport:
     """Unramifiedness criteria for the biquadratic quartic x^4 + b x^2 + c.
 
     delta = b^2 - 4c; the splitting field is compared against
@@ -622,7 +597,7 @@ def quartic_d4_criterion(b, c, oracle_places: bool = True) -> RamificationReport
     return report
 
 
-def cubic_ut_family(s: int, u: int, t: int, oracle: bool = True) -> RamificationReport:
+def cubic_ut_family(s: int, u: int, t: int) -> RamificationReport:
     """The family x^3 + s u x + t u^2 for s in {1, 2, 3}.
 
     s = 1: unconditionally unramified (checked).  s = 2: unramified iff
@@ -635,8 +610,7 @@ def cubic_ut_family(s: int, u: int, t: int, oracle: bool = True) -> Ramification
         raise ValueError("s must be 1, 2 or 3")
     u, t = int(u), int(t)
     b, c = s * u, t * u * u
-    form = CubicForm.make(b, c)  # raises on b == 0
-    report = cubic_report(b, c, oracle=oracle)
+    report = cubic_report(b, c)  # raises on b == 0
     report.extra["family"] = {"s": s, "u": u, "t": t}
     if s == 1:
         report.extra["predicted"] = "unramified"

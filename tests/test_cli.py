@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from chebykit import unram
 from chebykit.cli import run
 
@@ -83,10 +85,9 @@ def test_scan_and_csv():
 
 def test_determinism():
     args = ["unram", "scan", "-b", "5", "--modulus", "25", "--range", "30", "--csv"]
-    a = run(args).render()
-    b = run(["--seed", "7"] + args).render()
-    c = run(args).render()
-    assert a == b == c
+    assert run(args).render() == run(args).render()
+    # the scan has no randomized order left to seed
+    assert run(["--seed", "7"] + args).status == "domain-error"
 
 
 def test_domain_errors():
@@ -156,3 +157,61 @@ def test_cheb_poly_1500_in_a_fresh_process():
     assert proc.returncode == 0, proc.stderr[-500:]
     coeffs = json.loads(proc.stdout)
     assert len(coeffs) == 1501 and coeffs[-1] == 1
+
+
+@pytest.mark.parametrize("p", ["1", "0", "4"])
+def test_padic_commands_refuse_a_non_prime_p(p):
+    for args in (
+        ["padic", "eval", "-p", p, "-x", "9", "-k", "1/3"],
+        ["padic", "roots", "-p", p, "--poly", "[1,1,0,1]"],
+        ["padic", "hensel", "-p", p, "--poly", "[1,1,0,1]", "--r0", "14"],
+    ):
+        r = run(args)
+        assert r.status == "domain-error" and r.exit_code == 1, args
+
+
+def test_padic_p_one_exits_cleanly_in_a_fresh_process():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from chebykit.cli import main; main()", "padic", "eval", "-p", "1", "-x", "9", "-k", "1/3"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert "not prime" in json.loads(proc.stderr)["error"]
+
+
+def test_char2_rejects_a_negative_bit_pattern():
+    r = run(["solve", "char2", "--op2", "quadratic", "-m", "4", "--bits", "-1"])
+    assert r.status == "domain-error"
+
+
+def test_scan_pool_is_bounded_by_rows_and_cores(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    args = ["unram", "scan", "-b", "5", "--modulus", "25", "--range", "5", "--csv"]
+    serial = run(args).render()
+    for cores in (64, 3, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert run(["--jobs", "100"] + args).render() == serial
+    # 11 rows on 64 cores, 3 cores, and one worker (no pool) when the count is unknown
+    assert sizes == [11, 3]

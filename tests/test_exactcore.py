@@ -17,12 +17,16 @@ from chebykit.exactcore import (
     cheb_second_signed,
     cheb_to_pow,
     cheby_transform,
+    clear_denominators,
     fib_lucas_polys,
+    horner,
     k_coeff,
     pow_to_cheb,
     u_odd_poly,
 )
 from chebykit import exactcore
+from chebykit.gf2m import GF2m
+from chebykit.padic import from_rational
 from chebykit.padic import from_rational
 
 
@@ -382,3 +386,42 @@ def test_divmod_exact_and_json():
     assert BiPolynomial.from_json(bp.to_json()) == bp
     e = ChebExpansion(4, {2: -1, 5: 3})
     assert ChebExpansion.from_json(e.to_json()) == e
+
+
+def _power_sum(coeffs, x, zero, one):
+    """sum c_i x^i term by term, the reference for horner."""
+    total, power = zero, one
+    for c in coeffs:
+        total = total + c * power
+        power = power * x
+    return total
+
+
+def test_horner_matches_the_power_sum_in_every_ring():
+    rng = random.Random(7)
+    F = GF2m(5)
+    for _ in range(20):
+        ints = [rng.randint(-50, 50) for _ in range(rng.randint(0, 7))]
+        x = rng.randint(-9, 9)
+        assert horner(ints, x) == _power_sum(ints, x, 0, 1)
+        fx = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        fracs = [Fraction(c, rng.randint(1, 5)) for c in ints]
+        assert horner(fracs, fx) == _power_sum(fracs, fx, 0, 1)
+        r = ResidueElement(97, x)
+        assert horner(ints, r) == _power_sum(ints, r, ResidueElement(97, 0), ResidueElement(97, 1))
+        g = IntPolynomial([rng.randint(-3, 3) for _ in range(3)])
+        composed = horner(ints, g)
+        assert composed == _power_sum(ints, g, IntPolynomial.zero(), IntPolynomial.one())
+        assert composed == IntPolynomial(ints).compose(g)
+        els = [F(rng.randrange(F.order)) for _ in ints]
+        e = F(rng.randrange(F.order))
+        assert horner(els, e) == _power_sum(els, e, F.zero(), F.one())
+        # p-adic: horner agrees with the expansion of the exact rational value
+        xp = from_rational(fx, 7, 30)
+        value = horner([from_rational(c, 7, 30) for c in fracs], xp)
+        assert value.agrees_with(from_rational(_power_sum(fracs, fx, 0, 1), 7, 30), 20)
+
+
+def test_clear_denominators():
+    assert clear_denominators([Fraction(1, 2), Fraction(-2, 3), 5]) == [3, -4, 30]
+    assert clear_denominators([Fraction(4), 0]) == [4, 0]

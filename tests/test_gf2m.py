@@ -59,3 +59,13 @@ def test_retract_rejects_outside_subfield():
     images = {embed(a, big).bits for a in F.elements()}
     outside = next(v for v in range(big.order) if v not in images)
     assert retract(big(outside), F) is None
+
+
+def test_element_construction_reduces_and_rejects_negatives():
+    F = GF2m(4)
+    with pytest.raises(ValueError):
+        F(-1)
+    # x^6 + x^5 + x + 1 = (x^2 + x)(x^4 + x + 1) + x^3 + 1
+    assert F(99).bits == 9
+    # x = 1 mod x + 1
+    assert GF2m(1).gen() == GF2m(1).one()

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chebykit import padic
 from chebykit.exactcore import cheb_pow_ladder, u_odd_poly
 from chebykit.padic import (
     INF,
@@ -308,3 +309,30 @@ def test_json_round_trip():
     assert PAdicNumber.from_json(x.to_json()) == x
     z = PAdicNumber.zero(5)
     assert PAdicNumber.from_json(z.to_json()).is_exact_zero()
+
+
+def test_constructors_refuse_a_non_prime_p():
+    with pytest.raises(ValueError):
+        PAdicNumber(4, 0, 1, 5)
+    for p in (-3, 0, 1, 4):
+        for make in (
+            lambda: from_rational(1, p),
+            lambda: from_rational(0, p),
+            lambda: PAdicNumber.zero(p),
+            lambda: PAdicNumber.inexact_zero(p, 5),
+            lambda: PAdicPoly.from_rationals([1, 0, 1], p),
+        ):
+            with pytest.raises(ValueError):
+                make()
+
+
+def test_arithmetic_results_skip_the_primality_check(monkeypatch):
+    x = from_rational(Fraction(3, 5), 7, 20)
+    f = PAdicPoly.from_rationals([1, 1, 0, 1], 7, 20)
+    want = from_rational((Fraction(9, 25) - 2 + Fraction(1, 5) - Fraction(1, 7)) * Fraction(14, 5), 7, 20)
+    calls = []
+    monkeypatch.setattr(padic, "is_prime", lambda p: calls.append(p) or True)
+    y = (x * x - 2 + x / 3 - Fraction(1, 7)).cap(10).mul_exact(Fraction(14, 5))
+    f(y)
+    assert calls == []
+    assert y.agrees_with(want, 9)
